@@ -4,9 +4,7 @@ package repro
 //
 //   - buffer pool size (Section 5.3: "mitigated by increasing available
 //     buffer space")
-//   - dedicated sequencer (Section 5.3's other mitigation)
-//   - table-lock threshold (Section 3.3: smaller messages, coarser conflicts)
-//   - partial replication degree (Section 5.2: the disk bottleneck)
+//   - full replication at six sites (Section 5.2: the disk bottleneck)
 //   - dissemination mode (IP multicast vs unicast fallback, Section 3.4)
 
 import (
@@ -35,34 +33,6 @@ func BenchmarkAblationBufferLarge(b *testing.B) {
 	benchRun(b, cfg, func(r *core.Results, b *testing.B) {
 		b.ReportMetric(float64(r.GCS.Blocked), "blocked")
 		b.ReportMetric(r.CertLat.Quantile(0.99), "cert-p99-ms")
-	})
-}
-
-func BenchmarkAblationDedicatedSequencer(b *testing.B) {
-	cfg := core.Config{
-		Sites: 3, Clients: 500, Faults: lossy(),
-		DedicatedSequencer: true,
-		GCSTweak:           func(c *gcs.Config) { c.BufferBytes = 64 * 1024 },
-	}
-	benchRun(b, cfg, func(r *core.Results, b *testing.B) {
-		b.ReportMetric(float64(r.GCS.Blocked), "blocked")
-		b.ReportMetric(r.TPM, "tpm")
-	})
-}
-
-func BenchmarkAblationTableLockThreshold(b *testing.B) {
-	cfg := core.Config{Sites: 3, Clients: 300, ReadSetThreshold: 3}
-	benchRun(b, cfg, func(r *core.Results, b *testing.B) {
-		b.ReportMetric(r.AbortRatePct, "abort-%")
-		b.ReportMetric(r.NetKBps, "net-KB/s")
-	})
-}
-
-func BenchmarkAblationPartialReplication(b *testing.B) {
-	cfg := core.Config{Sites: 6, Clients: 600, ReplicationDegree: 2}
-	benchRun(b, cfg, func(r *core.Results, b *testing.B) {
-		b.ReportMetric(r.DiskUtilPct, "disk-%")
-		b.ReportMetric(r.TPM, "tpm")
 	})
 }
 

@@ -2,7 +2,7 @@ package repro
 
 // Aggregate client tier benchmarks: the population sweep of `experiments
 // clients` at fixed transaction budget. CI runs these with -json into
-// BENCH_clients.json so the scaling claim of the aggregate arrival-process
+// BENCH.json so the scaling claim of the aggregate arrival-process
 // tier is tracked per commit: events/s, wall clock normalized per simulated
 // minute, and allocations, from 10^3 to 10^6 emulated users on 3 sites.
 // Memory and startup cost must stay O(sites + in-flight) — a population

@@ -3,8 +3,8 @@ package repro
 // Hot-path benchmarks for the simulation critical loop, the subject of the
 // cross-layer performance overhaul (indexed certification, pooled event
 // scheduler, zero-copy wire buffers). CI runs these with -json into
-// BENCH_hotpath.json, alongside BENCH_protocols.json, so simulator
-// throughput regressions are tracked per commit.
+// BENCH.json, alongside the protocol, overload, shard and clients benches,
+// so simulator throughput regressions are tracked per commit.
 //
 // BenchmarkHotpath* report events/s aggregated over every iteration (total
 // kernel events over total wall time), which is stable against per-iteration

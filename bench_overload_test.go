@@ -3,7 +3,7 @@ package repro
 // Overload benchmarks: the replicated workload pushed past its admission
 // capacity — compressed think time, sustained saturation, a gray-failed
 // (never-suspected) slow site — under both termination variants. CI runs
-// these with -json into BENCH_overload.json so the overload envelope is
+// these with -json into BENCH.json so the overload envelope is
 // tracked per commit: throughput under pressure, how much the admission
 // gate sheds, how hard clients retry, and the transmit-queue high-water
 // mark that the flow-control bound must keep under 1 MiB.

@@ -2,7 +2,7 @@ package repro
 
 // Protocol-comparison benchmarks: the same replicated workload under the
 // conservative and optimistic termination variants, fault-free and under
-// loss. CI runs these with -json into BENCH_protocols.json so regressions in
+// loss. CI runs these with -json into BENCH.json so regressions in
 // the optimistic pipeline (decide latency creeping up, rollbacks exploding,
 // throughput diverging between variants) are tracked per commit.
 

@@ -1,7 +1,7 @@
 package repro
 
 // Partial-replication benchmarks: the group-count sweep of `experiments
-// shard` at reduced scale. CI runs these with -json into BENCH_shard.json so
+// shard` at reduced scale. CI runs these with -json into BENCH.json so
 // the scaling headroom of per-warehouse replication groups is tracked per
 // commit: aggregate committed throughput against the single-group baseline,
 // the multi-group share paying the cross-group commit round, and that

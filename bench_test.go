@@ -144,31 +144,6 @@ func BenchmarkTable2RandomLoss1000(b *testing.B) {
 
 // --- protocol and substrate micro-benchmarks --------------------------------
 
-func BenchmarkCertify(b *testing.B) {
-	c := dbsm.NewCertifier()
-	c.MaxHistory = 5000
-	rng := sim.NewRNG(1)
-	mkSet := func(n int) dbsm.ItemSet {
-		ids := make([]dbsm.TupleID, n)
-		for i := range ids {
-			ids[i] = dbsm.MakeTupleID(uint16(rng.Intn(9)+1), uint64(rng.Intn(1<<20)))
-		}
-		return dbsm.NewItemSet(ids...)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws := mkSet(20)
-		snapshot := uint64(0)
-		if s := c.Seq(); s > 50 {
-			snapshot = s - 50
-		}
-		c.Certify(&dbsm.TxnCert{
-			TID: uint64(i), ReadSet: mkSet(100), WriteSet: ws,
-			LastCommitted: snapshot,
-		})
-	}
-}
-
 func BenchmarkItemSetIntersect(b *testing.B) {
 	rng := sim.NewRNG(2)
 	mk := func(n int) dbsm.ItemSet {
@@ -182,15 +157,6 @@ func BenchmarkItemSetIntersect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x.Intersects(y)
-	}
-}
-
-func BenchmarkKernelScheduleDispatch(b *testing.B) {
-	k := sim.NewKernel()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k.Schedule(sim.Microsecond, func() {})
-		k.Step()
 	}
 }
 

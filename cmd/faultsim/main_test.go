@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/explore"
 )
@@ -33,6 +34,24 @@ func TestGoldenReproReproduces(t *testing.T) {
 	}
 	if r.Expect.Kind != "non-prefix" || r.Triage == nil || r.Triage.Kind != "non-prefix" {
 		t.Fatalf("golden repro triage drifted: expect=%+v triage=%+v", r.Expect, r.Triage)
+	}
+	// The classic model is the one-group case of the safety check: its
+	// verdict must render exactly as recorded, with no group tag leaking
+	// into the text or the triage.
+	if detail != r.Description {
+		t.Fatalf("replayed verdict %q, file records %q", detail, r.Description)
+	}
+	m, err := core.New(r.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := check.TriageOf(res.SafetyErr)
+	if got == nil || *got != *r.Triage || got.Group != 0 {
+		t.Fatalf("fresh triage %+v, file records %+v", got, r.Triage)
 	}
 }
 

@@ -74,7 +74,7 @@
 // admission/retry/backpressure path individual clients use. Equivalence is
 // statistical, pinned within CI95 at 500 clients for both protocol
 // variants; memory and wall clock stay O(sites + in-flight) to 10^6
-// clients (cmd/experiments's "clients" table, BENCH_clients.json, and
+// clients (cmd/experiments's "clients" table, BENCH.json, and
 // README.md's "Scaling to millions of clients" section).
 //
 // Beyond randomized campaigns, cmd/faultsim's -explore mode runs an
@@ -95,7 +95,7 @@
 // The simulation critical path is engineered to allocate nothing in steady
 // state: certification runs against an inverted last-writer index
 // (O(|ReadSet|) per transaction, differential-tested against the paper's
-// history scan, which remains available via core.Config.ScanCertifier), the
+// history scan, which internal/dbsm keeps as dbsm.NewScanCertifier), the
 // kernel schedules through a pointer-free 4-ary heap over pooled event
 // slots, and the wire path hands buffers zero-copy from sender to receivers
 // with pooled packets and thunks. On the fault-free 3-site TPC-C

@@ -120,16 +120,15 @@ func TestAggregateEquivalenceCI95(t *testing.T) {
 }
 
 // TestAggregateSameSeedSameResults extends the determinism guard to the
-// aggregate tier across every client-placement mode — round-robin, partial
-// replication (primary-site placement), and replication groups — since each
-// mode uses a different dense-index→warehouse closure and RNG wiring.
+// aggregate tier across every client-placement mode — round-robin and
+// replication groups — since each mode uses a different dense-index→warehouse
+// closure and RNG wiring.
 func TestAggregateSameSeedSameResults(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"round-robin", Config{Sites: 3, Clients: 120, TotalTxns: 300, Seed: 7, AggregateClients: 1}},
-		{"partial", Config{Sites: 3, Clients: 120, TotalTxns: 300, Seed: 7, AggregateClients: 1, ReplicationDegree: 2}},
 		{"grouped", Config{Groups: 3, Sites: 2, Clients: 120, TotalTxns: 300, Seed: 7, AggregateClients: 1}},
 		{"admission", Config{Sites: 3, Clients: 120, TotalTxns: 300, Seed: 7, AggregateClients: 1,
 			Admission: DefaultAdmissionConfig()}},
@@ -194,10 +193,6 @@ func TestAggregatePlacement(t *testing.T) {
 	}{
 		{"round-robin", Config{Sites: 3, Clients: 127, AggregateClients: 1},
 			func(cfg Config, i int) int { return i % cfg.Sites }},
-		{"partial", Config{Sites: 3, Clients: 127, AggregateClients: 1, ReplicationDegree: 2},
-			func(cfg Config, i int) int {
-				return primarySiteIndex(i/tpcc.ClientsPerWarehouse, cfg.Sites)
-			}},
 		{"grouped", Config{Groups: 3, Sites: 2, Clients: 127, AggregateClients: 1},
 			func(cfg Config, i int) int {
 				return xgroup.HomeSite(i/tpcc.ClientsPerWarehouse, cfg.Groups, cfg.Sites) - 1

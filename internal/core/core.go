@@ -62,8 +62,7 @@ type Config struct {
 	// group-communication stack and certifies only its own warehouses'
 	// transactions; a transaction spanning groups runs the cross-group
 	// atomic-commit round (internal/replica, xcommit.go). 0 or 1 runs the
-	// classic single-group model. Incompatible with DedicatedSequencer,
-	// ReplicationDegree, ReadSetThreshold, and crash recovery
+	// classic single-group model. Incompatible with crash recovery
 	// (Faults.Recovers); requires Sites >= 2 per group.
 	Groups int
 	// Protocol selects the termination variant (default conservative).
@@ -109,28 +108,12 @@ type Config struct {
 	// Hooks are test-only protocol switches (see Hooks); the zero value —
 	// every hook off — is the only production configuration.
 	Hooks Hooks
-	// ReadSetThreshold upgrades large read-sets to table locks.
-	ReadSetThreshold int
 	// Admission enables the overload-protection machinery: a per-site
 	// active-transaction cap, replica backlog watermarks that gate
 	// admission, and client retry with exponential backoff after explicit
 	// rejections. Nil runs without admission control (rejections never
 	// happen and overload degrades the old way, by thrashing).
 	Admission *AdmissionConfig
-	// ScanCertifier runs certification with the reference history-scan
-	// procedure instead of the default inverted last-writer index (same
-	// verdicts, O(concurrent-history × read-set) cost per transaction).
-	ScanCertifier bool
-	// DedicatedSequencer adds a group member (node 0) that orders
-	// messages but hosts no database and originates no application
-	// traffic — the paper's Section 5.3 mitigation for sequencer
-	// buffer-share exhaustion. Only meaningful when Sites > 1.
-	DedicatedSequencer bool
-	// ReplicationDegree stores each warehouse at this many sites instead
-	// of all of them (partial replication, Section 5.2's disk-bottleneck
-	// mitigation). 0 or >= Sites means full replication. Clients are
-	// then routed to their home warehouse's primary site.
-	ReplicationDegree int
 	// UseWallProfiler measures real protocol code with the wall clock
 	// instead of the deterministic cost model (non-reproducible runs).
 	UseWallProfiler bool
@@ -266,21 +249,19 @@ func (s *Site) operational() bool {
 
 // Model is a configured instance of the testing tool.
 type Model struct {
-	cfg     Config
-	k       *sim.Kernel
-	rng     *sim.RNG
-	net     *simnet.Network
-	lan     *simnet.LAN
-	members []runtimeapi.NodeID // full group universe (rebuilt stacks need it)
+	cfg Config
+	k   *sim.Kernel
+	rng *sim.RNG
+	net *simnet.Network
+	lan *simnet.LAN
 
-	// Group-mode shape: groups is 1 for the classic model; perGroup is the
+	// Group shape: groups is 1 for the classic model; perGroup is the
 	// per-group site count (== cfg.Sites in either mode).
 	groups   int
 	perGroup int
 
-	sites     []*Site
-	dedicated *Site // dedicated sequencer member, when configured
-	clients   []*tpcc.Client
+	sites   []*Site
+	clients []*tpcc.Client
 	// aggs replaces clients above the AggregateClients threshold: one
 	// compound arrival process per site with a nonzero population.
 	aggs []*tpcc.Aggregate
@@ -317,17 +298,11 @@ func New(cfg Config) (*Model, error) {
 	}
 	if groups > 1 {
 		// The cross-group commit path composes with the plain per-group
-		// protocol only; the orthogonal single-group features stay out of
-		// scope and are rejected rather than silently ignored.
+		// protocol; crash recovery stays out of scope and is rejected rather
+		// than silently ignored.
 		switch {
 		case cfg.Sites < 2:
 			return nil, fmt.Errorf("core: groups need at least 2 sites each, got %d", cfg.Sites)
-		case cfg.DedicatedSequencer:
-			return nil, fmt.Errorf("core: dedicated sequencer is incompatible with %d groups", groups)
-		case cfg.ReplicationDegree > 0:
-			return nil, fmt.Errorf("core: replication degree is incompatible with %d groups", groups)
-		case cfg.ReadSetThreshold > 0:
-			return nil, fmt.Errorf("core: table-lock upgrade is incompatible with %d groups", groups)
 		case len(cfg.Faults.Recovers) > 0:
 			return nil, fmt.Errorf("core: crash recovery is incompatible with %d groups", groups)
 		}
@@ -336,22 +311,8 @@ func New(cfg Config) (*Model, error) {
 		groups: groups, perGroup: cfg.Sites}
 	m.net = simnet.NewNetwork(m.k, m.rng.Fork("net"))
 	m.lan = m.net.NewLAN(cfg.LAN)
-
-	members := make([]runtimeapi.NodeID, total)
-	for i := range members {
-		members[i] = runtimeapi.NodeID(i + 1)
-	}
-	if cfg.DedicatedSequencer && total > 1 && groups == 1 {
-		// Node 0 sorts first in the view, making it the sequencer.
-		members = append([]runtimeapi.NodeID{0}, members...)
-	}
-	m.members = members
-	if groups == 1 {
-		m.net.SetGroup(1, members)
-	} else {
-		for g := 1; g <= groups; g++ {
-			m.net.SetGroup(runtimeapi.Group(g), m.groupMembers(g))
-		}
+	for g := 1; g <= groups; g++ {
+		m.net.SetGroup(runtimeapi.Group(g), m.groupMembers(g))
 	}
 
 	warehouses := cfg.Warehouses
@@ -359,7 +320,8 @@ func New(cfg Config) (*Model, error) {
 		warehouses = tpcc.Warehouses(cfg.Clients)
 	}
 
-	for _, id := range members {
+	for i := 1; i <= total; i++ {
+		id := runtimeapi.NodeID(i)
 		host, err := m.net.NewHost(id, m.lan)
 		if err != nil {
 			return nil, fmt.Errorf("core: site %d: %w", id, err)
@@ -370,42 +332,31 @@ func New(cfg Config) (*Model, error) {
 		}
 		rt := csrt.NewRuntime(m.k, id, prof, m.net.Port(id, 0), cfg.Costs,
 			m.rng.Fork(fmt.Sprintf("rt-%d", id)))
-		ncpu := cfg.CPUsPerSite
-		if id == 0 {
-			ncpu = 1 // the dedicated sequencer only runs protocol code
-		}
-		cpus := csrt.NewCPUSet(ncpu, m.k, nil)
+		cpus := csrt.NewCPUSet(cfg.CPUsPerSite, m.k, nil)
 		rt.Bind(cpus)
 		host.SetDeliver(func(pkt *simnet.Packet) { rt.Deliver(pkt.Src, pkt.Data) })
 
 		site := &Site{ID: dbsm.SiteID(id), RT: rt, CPUs: cpus, Host: host,
 			Life: recovery.NewLifecycle(dbsm.SiteID(id))}
 
-		if len(members) > 1 {
+		if total > 1 {
 			if err := m.buildStack(site, false); err != nil {
 				return nil, err
 			}
 		}
 
-		if id != 0 {
-			storage := db.NewStorage(m.k, cfg.Storage, m.rng.Fork(fmt.Sprintf("disk-%d", id)))
-			server := db.NewServer(m.k, dbsm.SiteID(id), cpus, storage)
-			server.ReadSetThreshold = cfg.ReadSetThreshold
-			if cfg.Admission != nil {
-				server.MaxActive = cfg.Admission.MaxActivePerSite
-			}
-			site.Server = server
-			site.Gen = tpcc.NewGenerator(dbsm.SiteID(id), warehouses, cfg.Calibration,
-				m.rng.Fork(fmt.Sprintf("gen-%d", id)))
-			if site.Stack != nil {
-				m.buildReplica(site, false)
-			}
+		storage := db.NewStorage(m.k, cfg.Storage, m.rng.Fork(fmt.Sprintf("disk-%d", id)))
+		server := db.NewServer(m.k, dbsm.SiteID(id), cpus, storage)
+		if cfg.Admission != nil {
+			server.MaxActive = cfg.Admission.MaxActivePerSite
 		}
+		site.Server = server
+		site.Gen = tpcc.NewGenerator(dbsm.SiteID(id), warehouses, cfg.Calibration,
+			m.rng.Fork(fmt.Sprintf("gen-%d", id)))
 		if site.Stack != nil {
+			m.buildReplica(site, false)
 			site.Stack.Start()
-			if site.Replica != nil {
-				site.Replica.Start()
-			}
+			site.Replica.Start()
 		}
 
 		// Fault wiring.
@@ -425,11 +376,7 @@ func New(cfg Config) (*Model, error) {
 		if in := cfg.Faults.Reorder.NewInjector(); in != nil {
 			host.SetReorder(in)
 		}
-		if id == 0 {
-			m.dedicated = site
-		} else {
-			m.sites = append(m.sites, site)
-		}
+		m.sites = append(m.sites, site)
 	}
 
 	crashAt := map[int32]sim.Time{}
@@ -598,26 +545,18 @@ func New(cfg Config) (*Model, error) {
 	// Clients are assigned round-robin: the ten clients of one warehouse
 	// spread across sites, so hot-row conflicts that local locks would
 	// serialize on a single site surface as certification conflicts
-	// between sites — the replication effect of Table 1. Under partial
-	// replication, clients are instead routed to the primary site of
-	// their home warehouse, which stores their data.
-	// Under group mode, clients live at their home warehouse's group — the
-	// only sites storing their data; cross-group traffic then comes from
-	// payment's remote warehouse and new-order's remote stock lines.
-	partial := cfg.ReplicationDegree > 0 && cfg.ReplicationDegree < cfg.Sites
+	// between sites — the replication effect of Table 1. Under group mode,
+	// clients live at their home warehouse's group — the only sites storing
+	// their data; cross-group traffic then comes from payment's remote
+	// warehouse and new-order's remote stock lines.
 	if cfg.AggregateClients > 0 && cfg.Clients >= cfg.AggregateClients {
-		m.buildAggregates(partial)
+		m.buildAggregates()
 		return m, nil
 	}
 	for i := 0; i < cfg.Clients; i++ {
-		var site *Site
-		switch {
-		case m.groups > 1:
+		site := m.sites[i%len(m.sites)]
+		if m.groups > 1 {
 			site = m.sites[xgroup.HomeSite(i/tpcc.ClientsPerWarehouse, m.groups, m.perGroup)-1]
-		case partial:
-			site = m.sites[primarySiteIndex(i/tpcc.ClientsPerWarehouse, cfg.Sites)]
-		default:
-			site = m.sites[i%len(m.sites)]
 		}
 		cl := &tpcc.Client{
 			ID:     i,
@@ -643,45 +582,30 @@ func New(cfg Config) (*Model, error) {
 // population-sized table is ever materialized:
 //
 //   - round-robin: the clients at site index s are i = s + k·nsites;
-//   - primary-site (partial replication) and group-homed placements assign
-//     whole warehouse blocks of ClientsPerWarehouse clients, and the
-//     warehouses homed at one site form an arithmetic progression (stride
-//     nsites resp. groups·perGroup). Only the globally-last warehouse block
-//     can be partial, and it is the last block of its site's progression,
-//     so dense indexing by k/ClientsPerWarehouse is exact.
-func (m *Model) buildAggregates(partial bool) {
+//   - group-homed placement assigns whole warehouse blocks of
+//     ClientsPerWarehouse clients, and the warehouses homed at one site form
+//     an arithmetic progression (stride groups·perGroup). Only the
+//     globally-last warehouse block can be partial, and it is the last block
+//     of its site's progression, so dense indexing by k/ClientsPerWarehouse
+//     is exact.
+func (m *Model) buildAggregates() {
 	cfg := m.cfg
 	nsites := len(m.sites)
 	proc := cfg.Calibration.ArrivalProcess()
 	for idx, site := range m.sites {
 		var pop int
 		var homeWH func(k int) int
-		blockPop := func(start, stride int) int {
-			n := 0
-			for wh := start; wh*tpcc.ClientsPerWarehouse < cfg.Clients; wh += stride {
-				c := cfg.Clients - wh*tpcc.ClientsPerWarehouse
-				if c > tpcc.ClientsPerWarehouse {
-					c = tpcc.ClientsPerWarehouse
-				}
-				n += c
-			}
-			return n
-		}
-		switch {
-		case m.groups > 1:
+		if m.groups > 1 {
 			// Invert xgroup.HomeSite: site idx+1 homes the warehouses
 			// wh = groups·(r + j·perGroup) + g0 with g0 = idx/perGroup,
 			// r = idx%perGroup.
 			g0, r := idx/m.perGroup, idx%m.perGroup
 			start, stride := m.groups*r+g0, m.groups*m.perGroup
-			pop = blockPop(start, stride)
+			for wh := start; wh*tpcc.ClientsPerWarehouse < cfg.Clients; wh += stride {
+				pop += min(cfg.Clients-wh*tpcc.ClientsPerWarehouse, tpcc.ClientsPerWarehouse)
+			}
 			homeWH = func(k int) int { return start + (k/tpcc.ClientsPerWarehouse)*stride }
-		case partial:
-			// Invert primarySiteIndex: wh ≡ idx (mod sites).
-			start, stride := idx, cfg.Sites
-			pop = blockPop(start, stride)
-			homeWH = func(k int) int { return start + (k/tpcc.ClientsPerWarehouse)*stride }
-		default:
+		} else {
 			if idx < cfg.Clients {
 				pop = (cfg.Clients-1-idx)/nsites + 1
 			}
@@ -714,9 +638,6 @@ func (m *Model) Kernel() *sim.Kernel { return m.k }
 
 // Sites exposes the assembled replicas.
 func (m *Model) Sites() []*Site { return m.sites }
-
-// Dedicated exposes the dedicated sequencer member, or nil.
-func (m *Model) Dedicated() *Site { return m.dedicated }
 
 // Network exposes the simulated network.
 func (m *Model) Network() *simnet.Network { return m.net }
@@ -804,14 +725,10 @@ func (m *Model) onDoneAgg(s *Site, t *db.Txn, o db.Outcome) {
 // time (joining false) or for a fresh incarnation rejoining after a crash
 // (joining true).
 func (m *Model) buildStack(s *Site, joining bool) error {
-	group, members := 1, m.members
-	if m.groups > 1 {
-		group = m.siteGroup(int32(s.ID))
-		members = m.groupMembers(group)
-	}
+	group := m.siteGroup(int32(s.ID))
 	gcfg := gcs.Config{
 		Self:         runtimeapi.NodeID(s.ID),
-		Members:      members,
+		Members:      m.groupMembers(group),
 		Group:        runtimeapi.Group(group),
 		UseMulticast: true,
 		Joining:      joining,
@@ -835,11 +752,8 @@ func (m *Model) buildStack(s *Site, joining bool) error {
 // buildReplica assembles a site's termination glue over the current stack.
 func (m *Model) buildReplica(s *Site, recovering bool) {
 	opts := replica.Options{
-		Optimistic:       m.cfg.Protocol == ProtocolOptimistic,
-		ReadSetThreshold: m.cfg.ReadSetThreshold,
-		ScanCertifier:    m.cfg.ScanCertifier,
-		Replicates:       replicatesFunc(int(s.ID)-1, m.cfg.Sites, m.cfg.ReplicationDegree),
-		Recovering:       recovering,
+		Optimistic: m.cfg.Protocol == ProtocolOptimistic,
+		Recovering: recovering,
 	}
 	if m.groups > 1 {
 		opts.Group = m.siteGroup(int32(s.ID))

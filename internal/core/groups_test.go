@@ -117,9 +117,6 @@ func TestGroupsValidation(t *testing.T) {
 	base := func() Config { return groupCfg(ProtocolConservative, 1) }
 	cases := map[string]func(*Config){
 		"one site per group":   func(c *Config) { c.Sites = 1 },
-		"dedicated sequencer":  func(c *Config) { c.DedicatedSequencer = true },
-		"replication degree":   func(c *Config) { c.ReplicationDegree = 1 },
-		"table-lock upgrade":   func(c *Config) { c.ReadSetThreshold = 10 },
 		"crash recovery":       func(c *Config) { c.Faults.Recovers = []faults.Recover{{Site: 1, At: sim.Second}} },
 		"too many total sites": func(c *Config) { c.Groups = 12; c.Sites = 3 },
 	}

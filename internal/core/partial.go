@@ -7,52 +7,10 @@ import (
 	"repro/internal/xgroup"
 )
 
-// Partitioning for partial replication (Section 5.2's mitigation of the
-// read-one/write-all disk bottleneck; evaluated as ongoing work in
-// Section 7). Placement is warehouse-granular: warehouse w is stored at
-// ReplicationDegree consecutive sites starting at its primary, and a
-// client's transactions are routed to its home warehouse's primary site.
-// Certification and total order remain global, so the safety property is
-// exactly that of full replication; only the write-back fan-out shrinks.
-
-// primarySiteIndex maps a warehouse to the index (0-based) of its primary
-// site.
-func primarySiteIndex(wh, sites int) int { return wh % sites }
-
-// replicatesAt reports whether the site at index idx stores warehouse wh
-// under the given replication degree.
-func replicatesAt(wh, idx, sites, degree int) bool {
-	if degree <= 0 || degree >= sites {
-		return true
-	}
-	p := primarySiteIndex(wh, sites)
-	for k := 0; k < degree; k++ {
-		if (p+k)%sites == idx {
-			return true
-		}
-	}
-	return false
-}
-
-// replicatesFunc builds the per-site placement predicate. Tuples without a
-// warehouse (the shared item catalog) live everywhere.
-func replicatesFunc(idx, sites, degree int) func(dbsm.TupleID) bool {
-	if degree <= 0 || degree >= sites {
-		return nil // full replication
-	}
-	return func(id dbsm.TupleID) bool {
-		wh, ok := tpcc.WarehouseOf(id)
-		if !ok {
-			return true
-		}
-		return replicatesAt(wh, idx, sites, degree)
-	}
-}
-
-// Group-mode partitioning (the tentpole generalization of the above): the
-// replicas split into independent replication groups, each owning a stripe
-// of warehouses, and internal/xgroup fixes the placement so every site
-// derives identical group topology.
+// Group-mode partitioning (partial replication): the replicas split into
+// independent replication groups, each owning a stripe of warehouses, and
+// internal/xgroup fixes the placement so every site derives identical group
+// topology. The classic model is the single group holding every site.
 
 // siteGroup maps a 1-based global site id to its 1-based group (1 when the
 // model runs single-group).

@@ -3,51 +3,9 @@ package core
 import (
 	"testing"
 
-	"repro/internal/dbsm"
 	"repro/internal/sim"
 	"repro/internal/tpcc"
 )
-
-func TestReplicatesAtPlacement(t *testing.T) {
-	// 6 sites, degree 2: warehouse 0 at sites 0,1; warehouse 5 at 5,0.
-	if !replicatesAt(0, 0, 6, 2) || !replicatesAt(0, 1, 6, 2) || replicatesAt(0, 2, 6, 2) {
-		t.Fatal("warehouse 0 placement wrong")
-	}
-	if !replicatesAt(5, 5, 6, 2) || !replicatesAt(5, 0, 6, 2) || replicatesAt(5, 3, 6, 2) {
-		t.Fatal("wrap-around placement wrong")
-	}
-	// Degree >= sites: everywhere.
-	for idx := 0; idx < 3; idx++ {
-		if !replicatesAt(7, idx, 3, 3) || !replicatesAt(7, idx, 3, 0) {
-			t.Fatal("full replication must place everywhere")
-		}
-	}
-	// Every warehouse gets exactly `degree` replicas.
-	for wh := 0; wh < 30; wh++ {
-		n := 0
-		for idx := 0; idx < 6; idx++ {
-			if replicatesAt(wh, idx, 6, 2) {
-				n++
-			}
-		}
-		if n != 2 {
-			t.Fatalf("warehouse %d has %d replicas, want 2", wh, n)
-		}
-	}
-}
-
-func TestReplicatesFuncCatalogEverywhere(t *testing.T) {
-	f := replicatesFunc(2, 6, 2)
-	if f == nil {
-		t.Fatal("expected a predicate for partial replication")
-	}
-	if !f(dbsm.MakeTupleID(8 /* item */, 42)) {
-		t.Fatal("item catalog must be everywhere")
-	}
-	if replicatesFunc(0, 3, 0) != nil || replicatesFunc(0, 3, 3) != nil {
-		t.Fatal("full replication must return nil")
-	}
-}
 
 func TestWarehouseOfInserts(t *testing.T) {
 	g := tpcc.NewGenerator(3, 20, tpcc.DefaultCalibration(), newTestRNG())
@@ -65,43 +23,6 @@ func TestWarehouseOfInserts(t *testing.T) {
 				t.Fatalf("warehouse out of range: %d (home %d)", wh, home)
 			}
 		}
-	}
-}
-
-// Partial replication: disk load per site drops with the replication degree
-// while the safety property is untouched.
-func TestPartialReplicationReducesDiskLoad(t *testing.T) {
-	full := run(t, Config{Sites: 6, Clients: 300, TotalTxns: 1500, Seed: 51})
-	partial := run(t, Config{Sites: 6, Clients: 300, TotalTxns: 1500, Seed: 51, ReplicationDegree: 2})
-	if full.SafetyErr != nil || partial.SafetyErr != nil {
-		t.Fatalf("safety: %v / %v", full.SafetyErr, partial.SafetyErr)
-	}
-	if partial.Committed < full.Committed*9/10 {
-		t.Fatalf("partial replication lost throughput: %d vs %d",
-			partial.Committed, full.Committed)
-	}
-	// Under full replication every site writes every row: per-site disk
-	// usage should drop to roughly degree/sites (2/6 = 1/3) plus the
-	// commit records. Allow a generous band.
-	ratio := partial.DiskUtilPct / full.DiskUtilPct
-	if ratio > 0.6 {
-		t.Fatalf("disk usage ratio = %.2f, want ~1/3 (partial %0.1f%%, full %0.1f%%)",
-			ratio, partial.DiskUtilPct, full.DiskUtilPct)
-	}
-	if ratio < 0.15 {
-		t.Fatalf("disk usage ratio = %.2f suspiciously low", ratio)
-	}
-}
-
-// All sites must still agree on the committed sequence even though most
-// apply only fragments of each write-set.
-func TestPartialReplicationSafetyUnderLoad(t *testing.T) {
-	r := run(t, Config{Sites: 3, Clients: 120, TotalTxns: 800, Seed: 52, ReplicationDegree: 1})
-	if r.SafetyErr != nil {
-		t.Fatalf("safety: %v", r.SafetyErr)
-	}
-	if r.Inconsistencies != 0 {
-		t.Fatalf("inconsistencies: %d", r.Inconsistencies)
 	}
 }
 

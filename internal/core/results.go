@@ -36,7 +36,7 @@ type ClassResult struct {
 // SiteResult summarizes one replica.
 type SiteResult struct {
 	Site dbsm.SiteID
-	// Group is the site's replication group (0 under full replication).
+	// Group is the site's replication group (0 for the classic model).
 	Group int
 	// State is the lifecycle state at the end of the run (up, crashed,
 	// recovering). Crashed is kept as the terminal-crash shorthand.
@@ -333,21 +333,6 @@ func (m *Model) results() *Results {
 		r.MeanRecoveryMS /= float64(r.Recoveries)
 		r.MeanDowntimeMS /= float64(r.Recoveries)
 	}
-	if m.dedicated != nil && m.dedicated.Stack != nil {
-		st := m.dedicated.Stack.Stats()
-		r.GCS.Sent += st.Sent
-		r.GCS.Retransmits += st.Retransmits
-		r.GCS.Nacks += st.Nacks
-		r.GCS.Gossips += st.Gossips
-		r.GCS.Blocked += st.Blocked
-		r.GCS.BlockedTime += st.BlockedTime
-		r.GCS.CreditStalls += st.CreditStalls
-		r.GCS.AssignDeferred += st.AssignDeferred
-		r.GCS.FlowRejected += st.FlowRejected
-		if st.QueuePeakBytes > r.GCS.QueuePeakBytes {
-			r.GCS.QueuePeakBytes = st.QueuePeakBytes
-		}
-	}
 	if duration > 0 {
 		r.TPM = float64(r.Committed) / (duration.Seconds() / 60)
 		r.NetKBps = float64(m.net.TotalBytes()) / 1024 / duration.Seconds()
@@ -375,13 +360,13 @@ func (m *Model) results() *Results {
 
 	// Off-line safety check over commit logs (replicated runs only):
 	// crashed sites and partitioned-minority sites are held to the prefix
-	// condition, everyone else must agree exactly. Under group mode the
-	// one-copy condition holds per replication group (each group runs its
-	// own certified order); the cross-group conditions — atomic decisions
-	// and an acyclic cross-group serialization graph — are checked on top,
-	// over one canonical record stream per group.
-	if m.groups > 1 {
-		r.Groups = m.groups
+	// condition, everyone else must agree exactly. The one-copy condition
+	// holds per replication group (each group runs its own certified order;
+	// the classic model is the single group). Under group mode the
+	// cross-group conditions — atomic decisions and an acyclic cross-group
+	// serialization graph — are checked on top, over one canonical record
+	// stream per group.
+	if len(m.sites) > 1 {
 		var xlogs []check.GroupXLog
 		for g := 1; g <= m.groups; g++ {
 			var siteLogs []check.SiteLog
@@ -401,11 +386,13 @@ func (m *Model) results() *Results {
 				}
 			}
 			if v := check.Logs(siteLogs); v != nil && r.SafetyErr == nil {
-				v.Group = g
+				if m.groups > 1 {
+					v.Group = g
+				}
 				r.SafetyErr = v
 			}
-			if canonical == nil {
-				continue // whole group down: nothing canonical to compare
+			if m.groups == 1 || canonical == nil {
+				continue // classic model, or whole group down
 			}
 			records := canonical.Replica.XRecords()
 			xlogs = append(xlogs, check.GroupXLog{Group: g, Site: canonical.ID, Records: records})
@@ -420,28 +407,18 @@ func (m *Model) results() *Results {
 				}
 			}
 		}
-		if v := check.CrossGroup(xlogs); v != nil && r.SafetyErr == nil {
-			r.SafetyErr = v
+		if m.groups > 1 {
+			r.Groups = m.groups
+			if v := check.CrossGroup(xlogs); v != nil && r.SafetyErr == nil {
+				r.SafetyErr = v
+			}
+			r.MultiGroupPct = metrics.Rate(r.MultiGroupCommitted, r.Committed)
 		}
-		r.MultiGroupPct = metrics.Rate(r.MultiGroupCommitted, r.Committed)
-	} else if len(m.sites) > 1 {
-		siteLogs := make([]check.SiteLog, 0, len(m.sites))
-		for _, s := range m.sites {
-			siteLogs = append(siteLogs, check.SiteLog{
-				Site:        s.ID,
-				Operational: s.operational(),
-				Recovered:   s.Life.Recoveries() > 0,
-				Entries:     s.Replica.CommitLog().Entries(),
-			})
+		if r.SafetyErr == nil && r.RejoinErr != nil {
+			// An install-time prefix violation is a safety violation even
+			// if the final logs happen to line up.
+			r.SafetyErr = r.RejoinErr
 		}
-		if v := check.Logs(siteLogs); v != nil {
-			r.SafetyErr = v
-		}
-	}
-	if len(m.sites) > 1 && r.SafetyErr == nil && r.RejoinErr != nil {
-		// An install-time prefix violation is a safety violation even
-		// if the final logs happen to line up.
-		r.SafetyErr = r.RejoinErr
 	}
 	return r
 }

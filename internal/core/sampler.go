@@ -79,9 +79,7 @@ func (m *Model) StartResourceSampler(period sim.Time) *ResourceLog {
 					sample.CPUBusy++
 				}
 			}
-			if s.Server != nil {
-				sample.DiskQueue = s.Server.Storage().QueueLen()
-			}
+			sample.DiskQueue = s.Server.Storage().QueueLen()
 			if s.Stack != nil {
 				q, u, _, _ := s.Stack.FlowState()
 				sample.SendQueue = q

@@ -49,10 +49,6 @@ type Server struct {
 	storage *Storage
 	lm      *LockManager
 
-	// ReadSetThreshold upgrades large read-sets to table locks before
-	// certification (0 disables).
-	ReadSetThreshold int
-
 	// MaxActive caps concurrently-active transactions: a Submit that would
 	// exceed it is rejected outright (admission control). 0 disables the
 	// cap. Bounding concurrency below the thrash point is what keeps
@@ -63,8 +59,8 @@ type Server struct {
 	backpressured bool
 
 	// SectorFilter, if set, maps a committed write-set to the number of
-	// sectors written locally. Partial replication installs a filter
-	// counting only locally-replicated rows; nil writes every row.
+	// sectors written locally. Group mode installs a filter counting only
+	// the rows this site's group stores; nil writes every row.
 	SectorFilter func(ws dbsm.ItemSet) int
 
 	terminator  func(*Txn)
@@ -461,8 +457,8 @@ func (s *Server) RejectPending(tid uint64) {
 }
 
 // NoteApplied advances the local snapshot horizon without installing
-// anything — used by partial replication when a certified transaction wrote
-// no locally-stored rows.
+// anything — used in group mode when a certified transaction wrote no rows
+// of this site's group.
 func (s *Server) NoteApplied(seq uint64) {
 	if seq > s.lastApplied {
 		s.lastApplied = seq

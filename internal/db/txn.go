@@ -118,16 +118,12 @@ type Txn struct {
 }
 
 // CertInfo builds the certification message for this transaction.
-func (t *Txn) CertInfo(site dbsm.SiteID, readSetThreshold int) *dbsm.TxnCert {
-	rs := t.ReadSet
-	if readSetThreshold > 0 {
-		rs = rs.UpgradeToTableLocks(readSetThreshold)
-	}
+func (t *Txn) CertInfo(site dbsm.SiteID) *dbsm.TxnCert {
 	return &dbsm.TxnCert{
 		TID:           t.TID,
 		Site:          site,
 		LastCommitted: t.Snapshot,
-		ReadSet:       rs,
+		ReadSet:       t.ReadSet,
 		WriteSet:      t.WriteSet,
 		WriteBytes:    t.WriteBytes,
 	}

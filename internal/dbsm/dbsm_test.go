@@ -112,30 +112,6 @@ func TestIntersectsProperty(t *testing.T) {
 	}
 }
 
-func TestUpgradeToTableLocks(t *testing.T) {
-	var s ItemSet
-	for i := 0; i < 10; i++ {
-		s = append(s, MakeTupleID(1, uint64(i)))
-	}
-	s = append(s, MakeTupleID(2, 1))
-	s = NewItemSet(s...)
-	up := s.UpgradeToTableLocks(5)
-	if len(up) != 2 {
-		t.Fatalf("len = %d, want 2 (lock + single tuple)", len(up))
-	}
-	if !up.Contains(MakeTableLock(1)) || !up.Contains(MakeTupleID(2, 1)) {
-		t.Fatalf("upgrade wrong: %v", up)
-	}
-	// Below threshold: unchanged.
-	same := s.UpgradeToTableLocks(50)
-	if len(same) != len(s) {
-		t.Fatal("should not upgrade below threshold")
-	}
-	if got := s.UpgradeToTableLocks(0); len(got) != len(s) {
-		t.Fatal("threshold 0 must disable upgrades")
-	}
-}
-
 func TestMarshalRoundTrip(t *testing.T) {
 	tc := &TxnCert{
 		TID:           MakeTID(3, 77),

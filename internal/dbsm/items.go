@@ -135,32 +135,6 @@ func (s ItemSet) groupEnd(i int) int {
 	return i
 }
 
-// UpgradeToTableLocks replaces per-tuple identifiers with whole-table locks
-// for any table contributing more than threshold tuples, bounding the
-// read-set size shipped on the network (Section 3.3). threshold <= 0 leaves
-// the set unchanged.
-func (s ItemSet) UpgradeToTableLocks(threshold int) ItemSet {
-	if threshold <= 0 || len(s) <= threshold {
-		return s
-	}
-	out := make(ItemSet, 0, len(s))
-	i := 0
-	for i < len(s) {
-		j := i
-		table := s[i].Table()
-		for j < len(s) && s[j].Table() == table {
-			j++
-		}
-		if j-i > threshold {
-			out = append(out, MakeTableLock(table))
-		} else {
-			out = append(out, s[i:j]...)
-		}
-		i = j
-	}
-	return out
-}
-
 // Clone returns an independent copy.
 func (s ItemSet) Clone() ItemSet {
 	out := make(ItemSet, len(s))

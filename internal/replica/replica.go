@@ -35,9 +35,6 @@ type Options struct {
 	// two-stage certify-on-tentative / commit-on-final pipeline described
 	// in the package comment.
 	Optimistic bool
-	// ReadSetThreshold upgrades large read-sets to table locks before
-	// multicasting (0 disables).
-	ReadSetThreshold int
 	// CertCostPerItem is the CPU cost per identifier comparison during
 	// certification (real-code cost model). Defaults to 40ns.
 	CertCostPerItem sim.Time
@@ -48,19 +45,6 @@ type Options struct {
 	// deterministic across replicas (a pure function of the certified
 	// stream). Defaults to 50000.
 	MaxHistory int
-	// ScanCertifier selects the reference history-scan certification
-	// procedure instead of the default inverted last-writer index. Both
-	// produce the identical outcome stream (differential-tested in
-	// internal/dbsm); the scan costs O(concurrent-history × read-set) per
-	// transaction and is kept as a fallback and for cross-checking.
-	ScanCertifier bool
-	// Replicates, when set, enables partial replication (the paper's
-	// Section 5.2 mitigation for the read-one/write-all disk bottleneck,
-	// evaluated as ongoing work in Section 7): only tuples for which it
-	// returns true are stored — and written back — at this site.
-	// Certification remains global, so the safety property is untouched;
-	// only the write-back fan-out shrinks.
-	Replicates func(dbsm.TupleID) bool
 	// Recovering starts the replica in recovery mode: final deliveries are
 	// buffered (and speculation suppressed) until InstallSnapshot seeds
 	// the certifier and commit log from a donor and replays the buffered
@@ -81,7 +65,7 @@ type Options struct {
 	// Group is this site's 1-based group; SitesPerGroup fixes the
 	// contiguous site numbering (group g owns sites (g-1)·S+1 .. g·S);
 	// GroupOf classifies a tuple's owning group (0 = replicated catalog).
-	// Incompatible with Replicates and Recovering.
+	// Incompatible with Recovering.
 	Group         int
 	GroupCount    int
 	SitesPerGroup int
@@ -227,15 +211,11 @@ type bufferedDelivery struct {
 // server. Call Start after the stack has started.
 func New(rt runtimeapi.Runtime, stack *gcs.Stack, server *db.Server, opts Options) *Replica {
 	opts.fill()
-	cert := dbsm.NewCertifier()
-	if opts.ScanCertifier {
-		cert = dbsm.NewScanCertifier()
-	}
 	r := &Replica{
 		rt:         rt,
 		stack:      stack,
 		server:     server,
-		cert:       cert,
+		cert:       dbsm.NewCertifier(),
 		site:       server.Site(),
 		opts:       opts,
 		recovering: opts.Recovering,
@@ -261,27 +241,7 @@ func New(rt runtimeapi.Runtime, stack *gcs.Stack, server *db.Server, opts Option
 		stack.OnViewChange(r.x.onViewChange)
 		server.SectorFilter = r.x.localSectors
 	}
-	if opts.Replicates != nil {
-		server.SectorFilter = func(ws dbsm.ItemSet) int {
-			n := r.replicatedCount(ws)
-			if n < 1 {
-				n = 1 // the commit record itself
-			}
-			return n
-		}
-	}
 	return r
-}
-
-// replicatedCount reports how many of the write-set's rows this site stores.
-func (r *Replica) replicatedCount(ws dbsm.ItemSet) int {
-	n := 0
-	for _, id := range ws {
-		if r.opts.Replicates(id) {
-			n++
-		}
-	}
-	return n
 }
 
 // Start completes initialization (reserved for future periodic work).
@@ -527,7 +487,7 @@ func (r *Replica) terminate(t *db.Txn) {
 }
 
 func stageTerminate(r *Replica, t *db.Txn, _ []byte) {
-	tc := t.CertInfo(r.site, r.opts.ReadSetThreshold)
+	tc := t.CertInfo(r.site)
 	if r.x != nil {
 		r.x.terminate(t, tc)
 		return
@@ -661,11 +621,9 @@ func (r *Replica) speculate(st *tentTxn) {
 	if !st.out.Commit || st.preApplied {
 		return
 	}
-	if apply := r.localWrites(st.tc); apply != nil {
-		st.preApplied = true
-		r.preApplied++
-		r.server.PreApplyRemote(apply.WriteSet)
-	}
+	st.preApplied = true
+	r.preApplied++
+	r.server.PreApplyRemote(st.tc.WriteSet)
 }
 
 // onDeliver processes one totally-ordered certification message: certify,
@@ -811,37 +769,9 @@ func (r *Replica) resolve(tc *dbsm.TxnCert, out dbsm.Outcome, preApplied bool) {
 	if !out.Commit {
 		return
 	}
-	apply := r.localWrites(tc)
-	if apply == nil {
-		// Partial replication: nothing from this transaction is stored
-		// here — skip the install entirely (no locks, no disk).
-		r.server.NoteApplied(out.Seq)
-		return
-	}
 	if preApplied {
-		r.server.ApplyRemotePrepared(apply, out.Seq)
+		r.server.ApplyRemotePrepared(tc, out.Seq)
 		return
 	}
-	r.server.ApplyRemote(apply, out.Seq)
-}
-
-// localWrites narrows a write-set to the locally-stored rows under partial
-// replication. It returns tc unchanged under full replication, a filtered
-// copy when only some rows are stored here, and nil when none are.
-func (r *Replica) localWrites(tc *dbsm.TxnCert) *dbsm.TxnCert {
-	if r.opts.Replicates == nil {
-		return tc
-	}
-	local := make(dbsm.ItemSet, 0, len(tc.WriteSet))
-	for _, id := range tc.WriteSet {
-		if r.opts.Replicates(id) {
-			local = append(local, id)
-		}
-	}
-	if len(local) == 0 {
-		return nil
-	}
-	filtered := *tc
-	filtered.WriteSet = local
-	return &filtered
+	r.server.ApplyRemote(tc, out.Seq)
 }
