@@ -67,11 +67,13 @@ func (h *harness) fig7() error {
 	fmt.Printf("%-14s %14s %14s %14s %16s\n", "Run", "retrans", "nacks", "blocked", "blocked time")
 	for i, c := range cases {
 		a := aggs[i]
+		retrans, nacks, blocked := a.Stat("GCS.Retransmits"), a.Stat("GCS.Nacks"), a.Stat("GCS.Blocked")
+		blockedMS := a.Stat("GCS.BlockedTime").Scale(1e-6)
 		fmt.Printf("%-14s %14s %14s %14s %16s\n", c.label,
-			fmt.Sprintf("%.0f±%.0f", a.GCSRetransmits.Mean, a.GCSRetransmits.CI95),
-			fmt.Sprintf("%.0f±%.0f", a.GCSNacks.Mean, a.GCSNacks.CI95),
-			fmt.Sprintf("%.0f±%.0f", a.GCSBlocked.Mean, a.GCSBlocked.CI95),
-			fmt.Sprintf("%.0f±%.0fms", a.GCSBlockedMS.Mean, a.GCSBlockedMS.CI95))
+			fmt.Sprintf("%.0f±%.0f", retrans.Mean, retrans.CI95),
+			fmt.Sprintf("%.0f±%.0f", nacks.Mean, nacks.CI95),
+			fmt.Sprintf("%.0f±%.0f", blocked.Mean, blocked.CI95),
+			fmt.Sprintf("%.0f±%.0fms", blockedMS.Mean, blockedMS.CI95))
 	}
 	fmt.Println("\nshape checks: random loss produces a much longer latency tail than")
 	fmt.Println("the same loss in bursts; the tail is caused by certification delays")

@@ -72,7 +72,8 @@ func (h *harness) overload() error {
 			i++
 			fmt.Printf("%-24s %-12s %12s %11.0f %10.1f %9.0f %10.0f %9.0f %11.1f\n",
 				rw.label, p, a.TPM.String(), a.Committed.Mean, a.P95LatencyMS.Mean,
-				a.Rejected.Mean, a.Retries.Mean, a.BacklogPeak.Mean, a.QueuePeakKB.Mean)
+				a.Stat("Rejected").Mean, a.Stat("Retries").Mean, a.Stat("BacklogPeak").Mean,
+				a.Stat("GCS.QueuePeakBytes").Scale(1.0/1024).Mean)
 			if rw.admission != nil {
 				if a.TPM.Mean > peak[p] {
 					peak[p] = a.TPM.Mean

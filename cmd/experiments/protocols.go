@@ -66,10 +66,10 @@ func (h *harness) protocols() error {
 				fmt.Printf("%-11s %-12s %8d %12s %12s %14s %14s %10.2f %10.1f %10.1f\n",
 					lc.label, p, c,
 					a.TPM.String(), a.MeanLatencyMS.String(),
-					a.MeanCertDecideMS.String(),
+					a.Stat("MeanCertDecideMS").String(),
 					fmt.Sprintf("%.1f", a.CertLat.Mean()),
-					a.OptMispredictPct.Mean,
-					a.Rollbacks.Mean, a.Recertified.Mean)
+					a.Stat("OptMispredictPct").Mean,
+					a.Stat("Rollbacks").Mean, a.Stat("Recertified").Mean)
 			}
 		}
 		fmt.Println()

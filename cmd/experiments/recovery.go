@@ -68,8 +68,8 @@ func (h *harness) recovery() error {
 			i++
 			fmt.Printf("%-17s %-12s %12s %11.0f %13s %13s %12s %8.1f\n",
 				row.label, p, a.TPM.String(), a.Committed.Mean,
-				a.MeanDowntimeMS.String(), a.MeanRecoveryMS.String(),
-				a.TransferKB.String(), a.DeltaApplied.Mean)
+				a.Stat("MeanDowntimeMS").String(), a.Stat("MeanRecoveryMS").String(),
+				a.Stat("TransferBytes").Scale(1.0/1024).String(), a.Stat("DeltaApplied").Mean)
 		}
 		fmt.Println()
 	}

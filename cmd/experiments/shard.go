@@ -71,7 +71,7 @@ func (h *harness) shard() error {
 			i++
 			fmt.Printf("%-30s %-12s %14s %11.0f %10.1f %9.2f %11.2f %10.0f\n",
 				rw.label, p, a.TPM.String(), a.Committed.Mean, a.P95LatencyMS.Mean,
-				a.AbortRatePct.Mean, a.MultiGroupPct.Mean, a.NetKBps.Mean)
+				a.AbortRatePct.Mean, a.Stat("MultiGroupPct").Mean, a.NetKBps.Mean)
 			if rw.groups == 1 && rw.sites == perGroup {
 				base[p] = a.TPM.Mean
 			}

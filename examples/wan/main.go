@@ -125,12 +125,8 @@ func main() {
 	fmt.Println("order) before deploying the DBSM across wide-area networks.")
 
 	final := &metrics.Sample{}
-	for _, v := range localLat.Values() {
-		final.Add(v)
-	}
-	for _, v := range remoteLat.Values() {
-		final.Add(v)
-	}
+	final.Merge(&localLat)
+	final.Merge(&remoteLat)
 	var mispred int64
 	for _, id := range members {
 		mispred += stacks[id].Stats().Mispredicted

@@ -21,6 +21,7 @@ import (
 	"repro/internal/dbsm"
 	"repro/internal/faults"
 	"repro/internal/gcs"
+	"repro/internal/metrics"
 	"repro/internal/recovery"
 	"repro/internal/replica"
 	"repro/internal/runtimeapi"
@@ -800,10 +801,10 @@ func (m *Model) recover(s *Site) {
 	// Fold the dead incarnation's protocol counters into the site totals
 	// before discarding it.
 	if s.Stack != nil {
-		accumulateGCS(&s.deadGCS, s.Stack.Stats())
+		metrics.Fold(&s.deadGCS, s.Stack.Stats())
 	}
 	if s.Replica != nil {
-		accumulateReplica(&s.deadReplica, s.Replica.Stats())
+		metrics.Fold(&s.deadReplica, s.Replica.Stats())
 	}
 	s.RT.Restart()
 	s.Host.SetDown(false)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 
@@ -87,13 +88,11 @@ type Results struct {
 	// Overload counters. Rejected sums explicit admission refusals (server
 	// side); Retries and GiveUps sum client resubmissions and abandoned
 	// transactions; RetryLat samples first-submit-to-final-outcome latency
-	// (ms) of transactions that needed at least one retry; BacklogPeak is
-	// the deepest replica termination backlog across sites.
-	Rejected    int64
-	Retries     int64
-	GiveUps     int64
-	RetryLat    *metrics.Sample
-	BacklogPeak int64
+	// (ms) of transactions that needed at least one retry.
+	Rejected int64 `feature:"rejected"`
+	Retries  int64 `feature:"retries"`
+	GiveUps  int64 `feature:"giveups"`
+	RetryLat *metrics.Sample
 	// TPM is committed transactions per minute — Figure 5(a).
 	TPM float64
 	// MeanLatencyMS and P95LatencyMS summarize committed latency —
@@ -125,52 +124,38 @@ type Results struct {
 	// the latency split the protocol comparison reports.
 	CertDecideLat    *metrics.Sample
 	MeanCertDecideMS float64
-	// CertDrops counts delivered certification payloads discarded on
-	// unmarshal failure, summed over replicas. Nonzero means a marshaling
-	// or wire-format bug — never silent.
-	CertDrops int64
-	// Optimistic-pipeline counters, summed over replicas (zero under the
-	// conservative protocol).
-	Tentative      int64 // tentative certifications (incl. re-certifications)
-	Rollbacks      int64 // tentative/final order divergences unwound
-	Recertified    int64 // transactions re-certified after rollbacks
-	PreApplied     int64 // remote write-sets speculatively pre-written
-	PreApplyWasted int64 // pre-writes whose transaction finally aborted
+	// Stats folds every replica counter over sites and their crashed
+	// incarnations (see replica.Stats): sums, except BacklogPeak, the
+	// deepest termination backlog any site reached. CertDrops must stay
+	// zero — nonzero means a marshaling or wire-format bug. The optimistic
+	// pipeline's counters (Tentative, Rollbacks, Recertified, PreApplied,
+	// PreApplyWasted) are zero under the conservative protocol;
+	// MultiGroupTxns and the X* counters under the classic model.
+	replica.Stats
 	// OptMispredictPct is the stack-level tentative-order misprediction
 	// rate: final deliveries whose spontaneous position disagreed with the
 	// total order, in percent of tentative deliveries.
 	OptMispredictPct float64
 	// Recovery metrics, summed over sites: completed rejoins, snapshot
-	// bytes shipped, mean recovery duration and downtime per rejoin, the
-	// deliveries replayed as delta catch-up, and install-time prefix-check
-	// failures (RejoinViolations must be zero; RejoinErr carries the
-	// first one).
-	Recoveries       int
+	// bytes shipped, mean recovery duration and downtime per rejoin, and
+	// install-time prefix-check failures (RejoinViolations must be zero;
+	// RejoinErr carries the first one). Stats.DeltaApplied counts the
+	// deliveries replayed as delta catch-up.
+	Recoveries       int `feature:"recoveries"`
 	TransferBytes    int64
 	MeanRecoveryMS   float64
 	MeanDowntimeMS   float64
-	DeltaApplied     int64
 	RejoinViolations int64
 	RejoinErr        error
 	// Partial-replication (group mode) detail. Groups echoes the group
-	// count (0 for the classic model). MultiGroupTxns counts cross-group
-	// commit rounds initiated; MultiGroupCommitted/MultiGroupAborted count
-	// their decisions as recorded by the home group's canonical stream;
-	// MultiGroupPct is the committed-transaction share that spanned groups.
-	// XRetries counts coordinator retransmit ticks, XHandovers coordinator
-	// takeovers after a crash — both diagnostics, not errors.
+	// count (0 for the classic model). MultiGroupCommitted/MultiGroupAborted
+	// count cross-group decisions as recorded by the home group's canonical
+	// stream; MultiGroupPct is the committed-transaction share that spanned
+	// groups. Stats.MultiGroupTxns counts the rounds initiated.
 	Groups              int
-	MultiGroupTxns      int64
 	MultiGroupCommitted int64
 	MultiGroupAborted   int64
 	MultiGroupPct       float64
-	XRetries            int64
-	XHandovers          int64
-	// XVetoes counts certifications aborted by the cross-group reservation
-	// veto; XPrepFrags counts oversized prepare relays that had to ship as
-	// fragments. Both diagnostics.
-	XVetoes    int64
-	XPrepFrags int64
 	// GCS aggregates protocol counters over all stacks.
 	GCS gcs.Stats
 	// SafetyErr is the off-line commit-sequence comparison verdict
@@ -249,27 +234,17 @@ func (m *Model) results() *Results {
 		}
 		// Fold the live incarnation's counters on top of any dead
 		// incarnations' accumulated at recovery time.
-		repStats := s.deadReplica
+		repStats, gcsStats := s.deadReplica, s.deadGCS
 		if s.Replica != nil {
-			accumulateReplica(&repStats, s.Replica.Stats())
+			metrics.Fold(&repStats, s.Replica.Stats())
 		}
-		r.CertDrops += repStats.Drops
-		r.Tentative += repStats.Tentative
-		r.Rollbacks += repStats.Rollbacks
-		r.Recertified += repStats.Recertified
-		r.PreApplied += repStats.PreApplied
-		r.PreApplyWasted += repStats.PreApplyWasted
-		r.DeltaApplied += repStats.DeltaApplied
-		r.MultiGroupTxns += repStats.XInitiated
-		r.XRetries += repStats.XRetries
-		r.XHandovers += repStats.XHandovers
-		r.XVetoes += repStats.XVetoes
-		r.XPrepFrags += repStats.XPrepFrags
+		if s.Stack != nil {
+			metrics.Fold(&gcsStats, s.Stack.Stats())
+		}
+		metrics.Fold(&r.Stats, repStats)
+		metrics.Fold(&r.GCS, gcsStats)
 		sr.DeltaApplied = repStats.DeltaApplied
 		sr.BacklogPeak = repStats.BacklogPeak
-		if repStats.BacklogPeak > r.BacklogPeak {
-			r.BacklogPeak = repStats.BacklogPeak
-		}
 		r.Sites = append(r.Sites, sr)
 		r.Submitted += sub
 		r.Committed += com
@@ -282,34 +257,17 @@ func (m *Model) results() *Results {
 			r.DiskUtilPct += sr.DiskUtilPct
 		}
 		collectClasses(s, classAgg, classLat)
-		for _, v := range s.Server.LatCommitted.Values() {
-			r.LatCommitted.Add(v)
-		}
-		for _, v := range s.Server.LatReadOnly.Values() {
-			r.LatReadOnly.Add(v)
-		}
-		for _, v := range s.Server.LatUpdate.Values() {
-			r.LatUpdate.Add(v)
-		}
-		for _, v := range s.Server.CertLat.Values() {
-			r.CertLat.Add(v)
-		}
-		for _, v := range s.Server.CertDecideLat.Values() {
-			r.CertDecideLat.Add(v)
-		}
+		r.LatCommitted.Merge(&s.Server.LatCommitted)
+		r.LatReadOnly.Merge(&s.Server.LatReadOnly)
+		r.LatUpdate.Merge(&s.Server.LatUpdate)
+		r.CertLat.Merge(&s.Server.CertLat)
+		r.CertDecideLat.Merge(&s.Server.CertDecideLat)
 		r.Inconsistencies += s.Server.Inconsistencies()
-		gcsStats := s.deadGCS
-		if s.Stack != nil {
-			accumulateGCS(&gcsStats, s.Stack.Stats())
-		}
-		accumulateGCS(&r.GCS, gcsStats)
 	}
 	for _, c := range m.clients {
 		r.Retries += c.Retries()
 		r.GiveUps += c.GiveUps()
-		for _, v := range c.RetryLat().Values() {
-			r.RetryLat.Add(v)
-		}
+		r.RetryLat.Merge(c.RetryLat())
 	}
 	// The aggregate client tier pools the same counters per site instead of
 	// per client; class-level outcome accounting stays where it always was,
@@ -318,9 +276,7 @@ func (m *Model) results() *Results {
 	for _, a := range m.aggs {
 		r.Retries += a.Retries()
 		r.GiveUps += a.GiveUps()
-		for _, v := range a.RetryLat().Values() {
-			r.RetryLat.Add(v)
-		}
+		r.RetryLat.Merge(a.RetryLat())
 	}
 	r.RejoinViolations = m.rejoinViolations
 	r.RejoinErr = m.rejoinViolation
@@ -423,100 +379,22 @@ func (m *Model) results() *Results {
 	return r
 }
 
-// accumulateGCS folds one stack's counters into an accumulator (used for
-// run totals and for preserving a dead incarnation's counters across a
-// crash-and-rejoin rebuild).
-func accumulateGCS(dst *gcs.Stats, s gcs.Stats) {
-	dst.Sent += s.Sent
-	dst.Retransmits += s.Retransmits
-	dst.Nacks += s.Nacks
-	dst.AssignAcks += s.AssignAcks
-	dst.Gossips += s.Gossips
-	dst.GossipsRecv += s.GossipsRecv
-	dst.Delivered += s.Delivered
-	dst.Optimistic += s.Optimistic
-	dst.Mispredicted += s.Mispredicted
-	dst.ParseErrors += s.ParseErrors
-	dst.Blocked += s.Blocked
-	dst.BlockedTime += s.BlockedTime
-	dst.ViewChanges += s.ViewChanges
-	dst.QuorumLosses += s.QuorumLosses
-	dst.JoinRequests += s.JoinRequests
-	dst.Joins += s.Joins
-	dst.CreditStalls += s.CreditStalls
-	dst.AssignDeferred += s.AssignDeferred
-	dst.FlowRejected += s.FlowRejected
-	dst.FlushAbandons += s.FlushAbandons
-	dst.UniformStalls += s.UniformStalls
-	// Peak gauges fold with max, not sum.
-	if s.QueuePeakBytes > dst.QueuePeakBytes {
-		dst.QueuePeakBytes = s.QueuePeakBytes
-	}
-}
-
-// accumulateReplica folds one replica's counters into an accumulator.
-func accumulateReplica(dst *replica.Stats, s replica.Stats) {
-	dst.Delivered += s.Delivered
-	dst.Drops += s.Drops
-	dst.Tentative += s.Tentative
-	dst.Rollbacks += s.Rollbacks
-	dst.Recertified += s.Recertified
-	dst.PreApplied += s.PreApplied
-	dst.PreApplyWasted += s.PreApplyWasted
-	dst.DeltaApplied += s.DeltaApplied
-	dst.MulticastRefused += s.MulticastRefused
-	dst.Backpressure += s.Backpressure
-	dst.XInitiated += s.XInitiated
-	dst.XCommitted += s.XCommitted
-	dst.XAborted += s.XAborted
-	dst.XRetries += s.XRetries
-	dst.XHandovers += s.XHandovers
-	dst.XVetoes += s.XVetoes
-	dst.XPrepFrags += s.XPrepFrags
-	if s.BacklogPeak > dst.BacklogPeak {
-		dst.BacklogPeak = s.BacklogPeak
-	}
-}
-
 // Features exports the run's protocol-state fingerprint: every counter that
 // marks a rare protocol state, keyed by a stable name. The adversarial
 // explorer (internal/explore) buckets these into its coverage map; anything
-// else wanting a behavioural signature of a run can use them too. Keys are
-// stable across runs and releases — add, don't rename.
+// else wanting a behavioural signature of a run can use them too. A counter
+// joins by a feature:"key" tag on its field in Results, gcs.Stats or
+// replica.Stats; queuepeakkb is derived. Keys are stable across runs and
+// releases — add, don't rename — and every key added changes what the
+// explorer searches.
 func (r *Results) Features() map[string]int64 {
-	return map[string]int64{
-		// Membership and ordering edges.
-		"viewchanges":   r.GCS.ViewChanges,
-		"quorumlosses":  r.GCS.QuorumLosses,
-		"flushabandons": r.GCS.FlushAbandons,
-		"uniformstalls": r.GCS.UniformStalls,
-		"joinrequests":  r.GCS.JoinRequests,
-		"joins":         r.GCS.Joins,
-		"recoveries":    int64(r.Recoveries),
-		// Reliable-stream stress.
-		"retransmits":    r.GCS.Retransmits,
-		"nacks":          r.GCS.Nacks,
-		"assignacks":     r.GCS.AssignAcks,
-		"creditstalls":   r.GCS.CreditStalls,
-		"assigndeferred": r.GCS.AssignDeferred,
-		"flowrejected":   r.GCS.FlowRejected,
-		// Optimistic-pipeline divergence.
-		"mispredicted": r.GCS.Mispredicted,
-		"rollbacks":    r.Rollbacks,
-		"recertified":  r.Recertified,
-		// Cross-group commit round edges.
-		"xretries":   r.XRetries,
-		"xhandovers": r.XHandovers,
-		"xvetoes":    r.XVetoes,
-		"xprepfrags": r.XPrepFrags,
-		// Overload and recovery load.
-		"rejected":     r.Rejected,
-		"retries":      r.Retries,
-		"giveups":      r.GiveUps,
-		"backlogpeak":  r.BacklogPeak,
-		"queuepeakkb":  r.GCS.QueuePeakBytes / 1024,
-		"deltaapplied": r.DeltaApplied,
-	}
+	f := map[string]int64{"queuepeakkb": r.GCS.QueuePeakBytes / 1024}
+	metrics.Fields(r, func(_ string, tag reflect.StructTag, x float64) {
+		if key := tag.Get("feature"); key != "" {
+			f[key] = int64(x)
+		}
+	})
+	return f
 }
 
 func collectClasses(s *Site, agg map[string]*ClassResult, lat map[string]*metrics.Sample) {
@@ -533,9 +411,7 @@ func collectClasses(s *Site, agg map[string]*ClassResult, lat map[string]*metric
 		cr.AbortCert += cs.AbortCert
 		cr.AbortUser += cs.AbortUser
 		cr.Rejected += cs.Rejected
-		for _, v := range cs.Lat.Values() {
-			lat[name].Add(v)
-		}
+		lat[name].Merge(&cs.Lat)
 	})
 }
 
@@ -585,6 +461,16 @@ type Stat struct {
 // String renders "mean±ci" with one decimal.
 func (st Stat) String() string { return fmt.Sprintf("%.1f±%.1f", st.Mean, st.CI95) }
 
+// Scale converts st to another unit by multiplying its mean, interval and
+// range by k > 0: 1.0/1024 turns bytes into KB, 1e-6 nanoseconds into ms.
+func (st Stat) Scale(k float64) Stat {
+	st.Mean *= k
+	st.CI95 *= k
+	st.Min *= k
+	st.Max *= k
+	return st
+}
+
 func statOf(vals []float64) Stat {
 	var s metrics.Sample
 	for _, v := range vals {
@@ -608,7 +494,8 @@ type ClassAggregate struct {
 // aggregate regardless of how the runs themselves were scheduled.
 type Aggregate struct {
 	Reps int
-	// Headline metrics — Figures 5 and 6.
+	// Headline metrics — Figures 5 and 6. Every other numeric Results
+	// field is read by name with Stat.
 	TPM           Stat
 	MeanLatencyMS Stat
 	P95LatencyMS  Stat
@@ -619,43 +506,11 @@ type Aggregate struct {
 	NetKBps       Stat
 	Committed     Stat
 	Aborted       Stat
-	// Group-communication detail — Figure 7 and Section 5.3.
-	GCSRetransmits Stat
-	GCSNacks       Stat
-	GCSBlocked     Stat
-	GCSBlockedMS   Stat
-	// Overload detail: admission rejections, client retries, flow-control
-	// refusals and credit stalls, and the peak queue/backlog gauges.
-	Rejected     Stat
-	Retries      Stat
-	CreditStalls Stat
-	FlowRejected Stat
-	BacklogPeak  Stat
-	QueuePeakKB  Stat
-	// Protocol-comparison detail: certification-decision latency, the
-	// optimistic pipeline's mismatch accounting, and the drop counters
-	// that must stay zero.
-	MeanCertDecideMS Stat
-	Rollbacks        Stat
-	Recertified      Stat
-	OptMispredictPct Stat
+	// CertDrops, GCSParseErrors and RejoinViolations sum counters that
+	// must stay zero.
 	CertDrops        int64
 	GCSParseErrors   int64
-	// Recovery detail: rejoins completed, recovery duration and downtime
-	// per rejoin, snapshot transfer volume, delta catch-up size, and the
-	// summed install-time prefix violations (must stay zero).
-	Recoveries       Stat
-	MeanRecoveryMS   Stat
-	MeanDowntimeMS   Stat
-	TransferKB       Stat
-	DeltaApplied     Stat
 	RejoinViolations int64
-	// Partial-replication detail: the committed-transaction share that
-	// spanned groups, plus the cross-group round's retransmit and
-	// coordinator-handover diagnostics.
-	MultiGroupPct Stat
-	XRetries      Stat
-	XHandovers    Stat
 	// Classes aggregates abort-rate rows — Tables 1 and 2.
 	Classes []ClassAggregate
 	// Pooled latency samples over all replications — Figures 4 and 7.
@@ -672,6 +527,9 @@ type Aggregate struct {
 	Events int64
 	// Runs holds the underlying per-replication results, in order.
 	Runs []*Results
+	// stats aggregates every numeric Results field by its Fields name. It
+	// is filled when the runs are aggregated, because callers may drop Runs.
+	stats map[string]Stat
 }
 
 // AggregateRuns merges replicated results. It panics on an empty slice —
@@ -689,62 +547,16 @@ func AggregateRuns(runs []*Results) *Aggregate {
 		CertDecideLat: &metrics.Sample{},
 		Runs:          runs,
 	}
-	col := func(get func(*Results) float64) Stat {
-		vals := make([]float64, len(runs))
-		for i, r := range runs {
-			vals[i] = get(r)
-		}
-		return statOf(vals)
-	}
-	a.TPM = col(func(r *Results) float64 { return r.TPM })
-	a.MeanLatencyMS = col(func(r *Results) float64 { return r.MeanLatencyMS })
-	a.P95LatencyMS = col(func(r *Results) float64 { return r.P95LatencyMS })
-	a.AbortRatePct = col(func(r *Results) float64 { return r.AbortRatePct })
-	a.CPUUtilPct = col(func(r *Results) float64 { return r.CPUUtilPct })
-	a.CPURealUtil = col(func(r *Results) float64 { return r.CPURealUtilPct })
-	a.DiskUtilPct = col(func(r *Results) float64 { return r.DiskUtilPct })
-	a.NetKBps = col(func(r *Results) float64 { return r.NetKBps })
-	a.Committed = col(func(r *Results) float64 { return float64(r.Committed) })
-	a.Aborted = col(func(r *Results) float64 { return float64(r.Aborted) })
-	a.GCSRetransmits = col(func(r *Results) float64 { return float64(r.GCS.Retransmits) })
-	a.GCSNacks = col(func(r *Results) float64 { return float64(r.GCS.Nacks) })
-	a.GCSBlocked = col(func(r *Results) float64 { return float64(r.GCS.Blocked) })
-	a.GCSBlockedMS = col(func(r *Results) float64 { return r.GCS.BlockedTime.Seconds() * 1e3 })
-	a.Rejected = col(func(r *Results) float64 { return float64(r.Rejected) })
-	a.Retries = col(func(r *Results) float64 { return float64(r.Retries) })
-	a.CreditStalls = col(func(r *Results) float64 { return float64(r.GCS.CreditStalls) })
-	a.FlowRejected = col(func(r *Results) float64 { return float64(r.GCS.FlowRejected) })
-	a.BacklogPeak = col(func(r *Results) float64 { return float64(r.BacklogPeak) })
-	a.QueuePeakKB = col(func(r *Results) float64 { return float64(r.GCS.QueuePeakBytes) / 1024 })
-	a.MeanCertDecideMS = col(func(r *Results) float64 { return r.MeanCertDecideMS })
-	a.Rollbacks = col(func(r *Results) float64 { return float64(r.Rollbacks) })
-	a.Recertified = col(func(r *Results) float64 { return float64(r.Recertified) })
-	a.OptMispredictPct = col(func(r *Results) float64 { return r.OptMispredictPct })
-	a.Recoveries = col(func(r *Results) float64 { return float64(r.Recoveries) })
-	a.MeanRecoveryMS = col(func(r *Results) float64 { return r.MeanRecoveryMS })
-	a.MeanDowntimeMS = col(func(r *Results) float64 { return r.MeanDowntimeMS })
-	a.TransferKB = col(func(r *Results) float64 { return float64(r.TransferBytes) / 1024 })
-	a.DeltaApplied = col(func(r *Results) float64 { return float64(r.DeltaApplied) })
-	a.MultiGroupPct = col(func(r *Results) float64 { return r.MultiGroupPct })
-	a.XRetries = col(func(r *Results) float64 { return float64(r.XRetries) })
-	a.XHandovers = col(func(r *Results) float64 { return float64(r.XHandovers) })
-
+	cols := map[string][]float64{}
 	for _, r := range runs {
-		for _, v := range r.LatCommitted.Values() {
-			a.LatCommitted.Add(v)
-		}
-		for _, v := range r.LatReadOnly.Values() {
-			a.LatReadOnly.Add(v)
-		}
-		for _, v := range r.LatUpdate.Values() {
-			a.LatUpdate.Add(v)
-		}
-		for _, v := range r.CertLat.Values() {
-			a.CertLat.Add(v)
-		}
-		for _, v := range r.CertDecideLat.Values() {
-			a.CertDecideLat.Add(v)
-		}
+		metrics.Fields(r, func(name string, _ reflect.StructTag, x float64) {
+			cols[name] = append(cols[name], x)
+		})
+		a.LatCommitted.Merge(r.LatCommitted)
+		a.LatReadOnly.Merge(r.LatReadOnly)
+		a.LatUpdate.Merge(r.LatUpdate)
+		a.CertLat.Merge(r.CertLat)
+		a.CertDecideLat.Merge(r.CertDecideLat)
 		if a.SafetyErr == nil {
 			a.SafetyErr = r.SafetyErr
 		}
@@ -754,6 +566,20 @@ func AggregateRuns(runs []*Results) *Aggregate {
 		a.Inconsistencies += r.Inconsistencies
 		a.Events += r.Events
 	}
+	a.stats = make(map[string]Stat, len(cols))
+	for name, vals := range cols {
+		a.stats[name] = statOf(vals)
+	}
+	a.TPM = a.Stat("TPM")
+	a.MeanLatencyMS = a.Stat("MeanLatencyMS")
+	a.P95LatencyMS = a.Stat("P95LatencyMS")
+	a.AbortRatePct = a.Stat("AbortRatePct")
+	a.CPUUtilPct = a.Stat("CPUUtilPct")
+	a.CPURealUtil = a.Stat("CPURealUtilPct")
+	a.DiskUtilPct = a.Stat("DiskUtilPct")
+	a.NetKBps = a.Stat("NetKBps")
+	a.Committed = a.Stat("Committed")
+	a.Aborted = a.Stat("Aborted")
 
 	// Class rows: union of class names in sorted order; a replication that
 	// never saw a class contributes a zero observation, keeping every
@@ -788,6 +614,18 @@ func AggregateRuns(runs []*Results) *Aggregate {
 		})
 	}
 	return a
+}
+
+// Stat returns the aggregate over the runs of the numeric Results field
+// named as metrics.Fields names it: "TPM", "Rollbacks" (a replica.Stats
+// counter), "GCS.Retransmits". Scale converts units. It panics on a name no
+// field has, so a misspelt column fails on its first run.
+func (a *Aggregate) Stat(name string) Stat {
+	st, ok := a.stats[name]
+	if !ok {
+		panic(fmt.Sprintf("core: Aggregate has no stat %q", name))
+	}
+	return st
 }
 
 // Class returns the aggregated row for a class name, or nil.

@@ -202,9 +202,11 @@ func nextGen(rng *sim.RNG, space Space, corpus []Entry, prev [][]Gene, pop int) 
 	return out
 }
 
-// Unsafe classifies one run's verdict, mirroring the fault campaign's rule:
-// a safety-checker violation, a rejoin prefix violation, a local/global
-// inconsistency, or a dropped certification payload all count.
+// Unsafe classifies one run's verdict; the explorer and the fault campaign
+// share this one rule. A safety-checker violation, a rejoin prefix
+// violation, a local/global inconsistency, or a dropped certification
+// payload all count — the last is not a serializability violation, but a
+// payload vanished: a marshaling bug a campaign must fail on, not swallow.
 func Unsafe(r *core.Results) (bool, string) {
 	switch {
 	case r.SafetyErr != nil:

@@ -212,19 +212,22 @@ type OptDelivery struct {
 	Payload []byte
 }
 
-// Stats counts protocol activity for the experiment reports.
+// Stats counts protocol activity for the experiment reports. Each field is
+// the counter's only declaration: core sums stacks' Stats with metrics.Fold
+// (a fold:"max" field is a peak gauge and keeps the larger value), and a
+// field tagged feature:"key" joins the run's Features fingerprint.
 type Stats struct {
 	Sent        int64 // data chunks first-transmitted
-	Retransmits int64 // chunks retransmitted on NACK
-	Nacks       int64 // NACKs sent
-	AssignAcks  int64 // assignment acks sent (uniform sequencer delivery)
+	Retransmits int64 `feature:"retransmits"` // chunks retransmitted on NACK
+	Nacks       int64 `feature:"nacks"`       // NACKs sent
+	AssignAcks  int64 `feature:"assignacks"`  // assignment acks sent (uniform sequencer delivery)
 	Gossips     int64 // gossip messages sent
 	GossipsRecv int64 // gossip messages received and accepted
 	Delivered   int64 // app messages delivered in total order
 	Optimistic  int64 // tentative deliveries (when enabled)
 	// Mispredicted counts final deliveries whose optimistic (arrival)
 	// position disagreed with the total order.
-	Mispredicted int64
+	Mispredicted int64 `feature:"mispredicted"`
 	// ParseErrors counts malformed wire messages dropped by the receive
 	// path. A nonzero value under a loss-free run is a wire-format
 	// regression; silent drops would make one invisible.
@@ -234,26 +237,26 @@ type Stats struct {
 	// CreditStalls counts transmission episodes blocked on an exhausted
 	// per-destination credit window (a lagging receiver throttling the
 	// sender).
-	CreditStalls int64
+	CreditStalls int64 `feature:"creditstalls"`
 	// AssignDeferred counts sequencer assignments deferred because the
 	// assigned-but-undelivered span hit AssignWindow.
-	AssignDeferred int64
+	AssignDeferred int64 `feature:"assigndeferred"`
 	// FlowRejected counts Multicasts refused because the unsent transmit
 	// queue was at MaxQueuedBytes. Every refusal is reported to the
 	// caller (Multicast returns false); this counter keeps refusals
 	// visible in campaign reports.
-	FlowRejected int64
+	FlowRejected int64 `feature:"flowrejected"`
 	// QueuePeakBytes is the high-water mark of the unsent transmit queue.
-	QueuePeakBytes int64
-	ViewChanges    int64
+	QueuePeakBytes int64 `fold:"max"`
+	ViewChanges    int64 `feature:"viewchanges"`
 	// QuorumLosses counts wedges under the primary-component rule: the
 	// member found itself unable to reach a majority of its view and
 	// halted rather than risk minority progress.
-	QuorumLosses int64
+	QuorumLosses int64 `feature:"quorumlosses"`
 	// JoinRequests counts admission requests sent while joining; Joins
 	// counts views this stack was admitted into as a joiner (0 or 1).
-	JoinRequests int64
-	Joins        int64
+	JoinRequests int64 `feature:"joinrequests"`
+	Joins        int64 `feature:"joins"`
 	// RelaysSent and RelaysRecv count point-to-point relay payloads (the
 	// cross-group commit round's unordered control traffic).
 	RelaysSent int64
@@ -261,11 +264,11 @@ type Stats struct {
 	// FlushAbandons counts flush rounds abandoned because the proposer
 	// itself became suspected mid-flush — a crash landing inside a view
 	// change, the double-fault corner the membership layer restarts from.
-	FlushAbandons int64
+	FlushAbandons int64 `feature:"flushabandons"`
 	// UniformStalls counts sequencer deliveries deferred by the uniformity
 	// gate: the message was self-assigned but no majority held the
 	// assignment yet (see totalorder.go).
-	UniformStalls int64
+	UniformStalls int64 `feature:"uniformstalls"`
 }
 
 // Stack is one member's group communication endpoint.

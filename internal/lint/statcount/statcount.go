@@ -9,7 +9,7 @@
 // returns an error, and requires the caller's error path to do one of:
 //
 //   - propagate: return (or wrap and return) the error,
-//   - account: increment a counter (s.stats.ParseErrors++, r.drops++,
+//   - account: increment a counter (s.stats.ParseErrors++, r.stats.CertDrops++,
 //     x.n += 1, atomic.AddInt64),
 //   - abort loudly: panic or log.Fatal.
 //

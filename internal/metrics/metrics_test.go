@@ -32,9 +32,6 @@ func TestSampleEmpty(t *testing.T) {
 	if s.Mean() != 0 || s.StdDev() != 0 || s.Quantile(0.5) != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Fatal("empty sample should report zeros")
 	}
-	if s.ECDFPoints(10) != nil {
-		t.Fatal("empty sample should produce no ECDF points")
-	}
 }
 
 func TestSampleECDF(t *testing.T) {
@@ -52,49 +49,32 @@ func TestSampleECDF(t *testing.T) {
 	}
 }
 
-func TestSampleECDFPointsMonotone(t *testing.T) {
-	var s Sample
-	for i := 0; i < 100; i++ {
-		s.Add(float64((i * 37) % 100))
-	}
-	pts := s.ECDFPoints(20)
-	if len(pts) != 20 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].X < pts[i-1].X || pts[i].Y < pts[i-1].Y {
-			t.Fatal("ECDF points must be monotone")
-		}
-	}
-	if pts[len(pts)-1].Y != 1 {
-		t.Fatalf("last ECDF y = %v, want 1", pts[len(pts)-1].Y)
-	}
-}
-
-func TestQQIdenticalSamplesOnDiagonal(t *testing.T) {
+// Merge must equal the loop it replaced — Add over o.Values() — down to
+// the last bit of every summary, so pooled results do not move.
+func TestMergeMatchesValuesLoop(t *testing.T) {
 	var a, b Sample
-	for i := 0; i < 500; i++ {
-		v := float64(i % 53)
-		a.Add(v)
-		b.Add(v)
+	for i := 0; i < 200; i++ {
+		a.Add(float64((i*7919)%1000) / 7)
+		b.Add(float64((i*104729)%997) / 3)
 	}
-	for _, p := range QQ(&a, &b, 25) {
-		if math.Abs(p.X-p.Y) > 1e-9 {
-			t.Fatalf("QQ point off diagonal: %+v", p)
+	var loop, merged Sample
+	for _, o := range []*Sample{&a, &b} {
+		for _, v := range o.Values() {
+			loop.Add(v)
+		}
+		merged.Merge(o)
+	}
+	if loop.N() != merged.N() || loop.Mean() != merged.Mean() || loop.StdDev() != merged.StdDev() {
+		t.Fatalf("merged N/Mean/StdDev = %d/%v/%v, loop %d/%v/%v",
+			merged.N(), merged.Mean(), merged.StdDev(), loop.N(), loop.Mean(), loop.StdDev())
+	}
+	for _, q := range []float64{0, 0.05, 0.5, 0.95, 0.999, 1} {
+		if loop.Quantile(q) != merged.Quantile(q) {
+			t.Fatalf("Quantile(%v) = %v, loop %v", q, merged.Quantile(q), loop.Quantile(q))
 		}
 	}
-}
-
-func TestQQShiftedSamples(t *testing.T) {
-	var a, b Sample
-	for i := 0; i < 100; i++ {
-		a.Add(float64(i))
-		b.Add(float64(i) + 10)
-	}
-	for _, p := range QQ(&a, &b, 10) {
-		if math.Abs(p.Y-p.X-10) > 1e-9 {
-			t.Fatalf("expected constant shift, got %+v", p)
-		}
+	if a.N() != 200 || b.N() != 200 {
+		t.Fatal("Merge must leave its argument's observations in place")
 	}
 }
 
@@ -165,8 +145,5 @@ func TestRateAndFormat(t *testing.T) {
 	}
 	if Rate(1, 0) != 0 {
 		t.Fatal("Rate with zero denominator must be 0")
-	}
-	if FormatPct(12.345) != "12.35" && FormatPct(12.345) != "12.34" {
-		t.Fatalf("FormatPct = %q", FormatPct(12.345))
 	}
 }

@@ -87,24 +87,28 @@ func (o *Options) fill() {
 	}
 }
 
-// Stats counts replica-level termination activity.
+// Stats counts replica-level termination activity. Each field is the
+// counter's only declaration: core folds it across incarnations and sites
+// with metrics.Fold (summing, or keeping the larger value for fold:"max"),
+// reports it as a Results field of the same name, and exports fields tagged
+// feature:"key" in the run's Features fingerprint.
 type Stats struct {
 	// Delivered is the number of totally-ordered certification messages
 	// processed.
 	Delivered int64
-	// Drops counts delivered payloads discarded because dbsm.Unmarshal
+	// CertDrops counts delivered payloads discarded because dbsm.Unmarshal
 	// rejected them. Always zero in a healthy run: the reliable multicast
 	// only hands up complete messages, so a drop here means a marshaling
 	// or wire-format bug, not network loss.
-	Drops int64
+	CertDrops int64
 	// Tentative counts tentative certifications, including
 	// re-certifications after rollbacks (optimistic variant only).
 	Tentative int64
 	// Rollbacks counts tentative/final order divergences that unwound the
 	// speculative state.
-	Rollbacks int64
+	Rollbacks int64 `feature:"rollbacks"`
 	// Recertified counts transactions re-certified after a rollback.
-	Recertified int64
+	Recertified int64 `feature:"recertified"`
 	// PreApplied counts remote write-sets speculatively pre-written to
 	// scratch storage at tentative delivery.
 	PreApplied int64
@@ -113,7 +117,7 @@ type Stats struct {
 	PreApplyWasted int64
 	// DeltaApplied counts deliveries buffered during a recovery transfer
 	// and replayed at snapshot install (the delta catch-up cost).
-	DeltaApplied int64
+	DeltaApplied int64 `feature:"deltaapplied"`
 	// MulticastRefused counts terminations the stack's bounded transmit
 	// queue refused; each one surfaced as an explicit client rejection.
 	MulticastRefused int64
@@ -122,23 +126,23 @@ type Stats struct {
 	Backpressure int64
 	// BacklogPeak is the high-water mark of the in-flight termination
 	// backlog.
-	BacklogPeak int64
-	// Cross-group commit round counters (group mode only). XInitiated
+	BacklogPeak int64 `fold:"max" feature:"backlogpeak"`
+	// Cross-group commit round counters (group mode only). MultiGroupTxns
 	// counts multi-group transactions this site coordinated; XCommitted
 	// and XAborted count cross-group decisions applied at this site;
 	// XRetries counts coordinator retransmit ticks; XHandovers counts
 	// rounds inherited from a dead coordinator.
-	XInitiated int64
-	XCommitted int64
-	XAborted   int64
-	XRetries   int64
-	XHandovers int64
+	MultiGroupTxns int64
+	XCommitted     int64
+	XAborted       int64
+	XRetries       int64 `feature:"xretries"`
+	XHandovers     int64 `feature:"xhandovers"`
 	// XVetoes counts local certifications aborted by the cross-group veto:
 	// a transaction conflicted with an active prepare reservation.
-	XVetoes int64
+	XVetoes int64 `feature:"xvetoes"`
 	// XPrepFrags counts prepare relay fragments sent because the item sets
 	// alone exceeded the MTU (padding trimming could not fit the frame).
-	XPrepFrags int64
+	XPrepFrags int64 `feature:"xprepfrags"`
 }
 
 // tentTxn is the replica-side state of one tentatively-delivered message.
@@ -178,19 +182,14 @@ type Replica struct {
 	// runtime's scheduler (terminate / tentative / discard stages).
 	freeThunks []*replicaThunk
 
-	// backlog gauges in-flight terminations (multicast but unresolved);
-	// refused counts terminations the bounded transmit queue turned away.
+	// backlog gauges in-flight terminations (multicast but unresolved).
 	backlog Watermark
-	refused int64
+	// stats holds every counter this replica owns; Stats adds the ones the
+	// speculative certifier and the backlog gauge keep themselves.
+	stats Stats
 
-	commitLog      trace.CommitLog
-	delivered      int64
-	drops          int64
-	recertified    int64
-	preApplied     int64
-	preApplyWasted int64
-	deltaApplied   int64
-	stopped        bool
+	commitLog trace.CommitLog
+	stopped   bool
 
 	// Recovery state: while recovering, final deliveries land in
 	// recoverBuf instead of being processed; lastGlobal tracks the highest
@@ -257,37 +256,14 @@ func (r *Replica) CommitLog() *trace.CommitLog { return &r.commitLog }
 // Certifier exposes the certification state (tests, introspection).
 func (r *Replica) Certifier() *dbsm.Certifier { return r.cert }
 
-// Delivered reports totally-ordered deliveries processed.
-func (r *Replica) Delivered() int64 { return r.delivered }
-
-// Drops reports delivered payloads discarded on unmarshal failure.
-func (r *Replica) Drops() int64 { return r.drops }
-
 // Stats reports the replica's termination counters.
 func (r *Replica) Stats() Stats {
-	s := Stats{
-		Delivered:        r.delivered,
-		Drops:            r.drops,
-		Recertified:      r.recertified,
-		PreApplied:       r.preApplied,
-		PreApplyWasted:   r.preApplyWasted,
-		DeltaApplied:     r.deltaApplied,
-		MulticastRefused: r.refused,
-		Backpressure:     r.backlog.Engages(),
-		BacklogPeak:      int64(r.backlog.Peak()),
-	}
+	s := r.stats
+	s.Backpressure = r.backlog.Engages()
+	s.BacklogPeak = int64(r.backlog.Peak())
 	if r.spec != nil {
 		s.Tentative = r.spec.Tentatives
 		s.Rollbacks = r.spec.Rollbacks
-	}
-	if r.x != nil {
-		s.XInitiated = r.x.initiated
-		s.XCommitted = r.x.committedX
-		s.XAborted = r.x.abortedX
-		s.XRetries = r.x.retries
-		s.XHandovers = r.x.handovers
-		s.XVetoes = r.x.vetoes
-		s.XPrepFrags = r.x.prepFrags
 	}
 	return s
 }
@@ -409,10 +385,10 @@ func (r *Replica) installSnapshot(snap *recovery.Snapshot) {
 			// transfer raced a readmission). Count each as a drop —
 			// CertDrops is never silent and fails the campaign verdict
 			// — instead of diverging quietly.
-			r.drops += int64(bd.global - prev - 1)
+			r.stats.CertDrops += int64(bd.global - prev - 1)
 		}
 		prev = bd.global
-		r.deltaApplied++
+		r.stats.DeltaApplied++
 		r.applyFinal(bd.global, bd.payload)
 	}
 }
@@ -422,11 +398,11 @@ func (r *Replica) installSnapshot(snap *recovery.Snapshot) {
 func (r *Replica) applyFinal(global uint64, payload []byte) {
 	tc, err := dbsm.Unmarshal(payload)
 	if err != nil {
-		r.drops++
+		r.stats.CertDrops++
 		return
 	}
 	r.chargeUnmarshal(len(payload))
-	r.delivered++
+	r.stats.Delivered++
 	if global > r.lastGlobal {
 		r.lastGlobal = global
 	}
@@ -499,7 +475,7 @@ func stageTerminate(r *Replica, t *db.Txn, _ []byte) {
 		// The bounded transmit queue is full: refuse the termination
 		// instead of queueing without bound. The server turns this into an
 		// explicit rejection the client can retry.
-		r.refused++
+		r.stats.MulticastRefused++
 		r.server.RejectPending(t.TID)
 		return
 	}
@@ -548,7 +524,7 @@ func (r *Replica) tentative(payload []byte) {
 	}
 	tid, err := dbsm.PeekTID(payload)
 	if err != nil {
-		r.drops++
+		r.stats.CertDrops++
 		return
 	}
 	if r.done[tid] {
@@ -560,7 +536,7 @@ func (r *Replica) tentative(payload []byte) {
 	}
 	tc, err := dbsm.Unmarshal(payload)
 	if err != nil {
-		r.drops++
+		r.stats.CertDrops++
 		return
 	}
 	r.chargeUnmarshal(len(payload))
@@ -622,7 +598,7 @@ func (r *Replica) speculate(st *tentTxn) {
 		return
 	}
 	st.preApplied = true
-	r.preApplied++
+	r.stats.PreApplied++
 	r.server.PreApplyRemote(st.tc.WriteSet)
 }
 
@@ -648,7 +624,7 @@ func (r *Replica) onDeliver(d gcs.Delivery) {
 		// Group mode: dispatch on the stream tag. Prepares and decisions
 		// are cross-group events; plain transactions continue below.
 		if len(payload) == 0 {
-			r.drops++
+			r.stats.CertDrops++
 			return
 		}
 		switch payload[0] {
@@ -660,7 +636,7 @@ func (r *Replica) onDeliver(d gcs.Delivery) {
 			r.x.onStream(payload)
 			return
 		default:
-			r.drops++
+			r.stats.CertDrops++
 			return
 		}
 	}
@@ -670,10 +646,10 @@ func (r *Replica) onDeliver(d gcs.Delivery) {
 	}
 	tc, err := dbsm.Unmarshal(payload)
 	if err != nil {
-		r.drops++
+		r.stats.CertDrops++
 		return
 	}
-	r.delivered++
+	r.stats.Delivered++
 	r.chargeUnmarshal(len(payload))
 	out := r.cert.Certify(tc)
 	r.resolve(tc, out, false)
@@ -713,12 +689,12 @@ func (r *Replica) finalize(payload []byte) {
 		r.chargeUnmarshal(len(payload))
 		r.done[tid] = true
 	}
-	r.delivered++
+	r.stats.Delivered++
 	out, rolled := r.spec.Final(tc)
 	delete(r.tent, tid)
 	r.respeculate(rolled)
 	if st != nil && st.preApplied && !out.Commit {
-		r.preApplyWasted++
+		r.stats.PreApplyWasted++
 	}
 	r.resolve(tc, out, st != nil && st.preApplied)
 }
@@ -734,7 +710,7 @@ func (r *Replica) respeculate(rolled []*dbsm.TxnCert) {
 			continue
 		}
 		st.out = r.spec.Tentative(rtc)
-		r.recertified++
+		r.stats.Recertified++
 		r.speculate(st)
 	}
 }

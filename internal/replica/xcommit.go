@@ -97,14 +97,6 @@ type xmgr struct {
 	buf  []byte
 
 	records []trace.XRecord
-
-	initiated  int64
-	committedX int64
-	abortedX   int64
-	retries    int64
-	handovers  int64
-	vetoes     int64
-	prepFrags  int64
 }
 
 // fragAsm is one oversized prepare's reassembly state: fragments land in
@@ -211,7 +203,7 @@ func (x *xmgr) veto(t *dbsm.TxnCert) bool {
 		}
 	}
 	if hit {
-		x.vetoes++
+		x.r.stats.XVetoes++
 	}
 	return hit
 }
@@ -249,7 +241,7 @@ func (x *xmgr) terminate(t *db.Txn, tc *dbsm.TxnCert) {
 		r.scratch = wire
 		r.rt.Charge(sim.Time(r.opts.MarshalCostPerByte * float64(len(wire))))
 		if !r.stack.Multicast(wire) {
-			r.refused++
+			r.stats.MulticastRefused++
 			r.server.RejectPending(t.TID)
 			return
 		}
@@ -268,14 +260,14 @@ func (x *xmgr) terminate(t *db.Txn, tc *dbsm.TxnCert) {
 	r.scratch = wire
 	r.rt.Charge(sim.Time(r.opts.MarshalCostPerByte * float64(len(wire))))
 	if !r.stack.Multicast(wire) {
-		r.refused++
+		r.stats.MulticastRefused++
 		r.server.RejectPending(t.TID)
 		return
 	}
 	if r.backlog.Add(1) {
 		r.server.SetBackpressure(r.backlog.Engaged())
 	}
-	x.initiated++
+	x.r.stats.MultiGroupTxns++
 	e := &xtxn{tid: tc.TID, home: x.group, coordID: x.self(), coord: true, allCommit: true}
 	for i := range parts {
 		e.involved |= xbit(parts[i].Group)
@@ -302,18 +294,18 @@ func (x *xmgr) onStream(payload []byte) {
 	case xgroup.MsgPrepare:
 		p, err := xgroup.ParsePrepare(payload[1:])
 		if err != nil {
-			r.drops++
+			r.stats.CertDrops++
 		} else {
-			r.delivered++
+			r.stats.Delivered++
 			r.chargeUnmarshal(len(payload))
 			x.prepareDelivered(p)
 		}
 	case xgroup.MsgDecide:
 		tid, commit, err := xgroup.ParseDecision(payload[1:])
 		if err != nil {
-			r.drops++
+			r.stats.CertDrops++
 		} else {
-			r.delivered++
+			r.stats.Delivered++
 			x.decideDelivered(tid, commit)
 		}
 	}
@@ -380,7 +372,7 @@ func (x *xmgr) decideDelivered(tid uint64, commit bool) {
 	r := x.r
 	e := x.pending[tid]
 	if e == nil || !e.voted {
-		r.drops++
+		r.stats.CertDrops++
 		return
 	}
 	if e.decided {
@@ -389,7 +381,7 @@ func (x *xmgr) decideDelivered(tid uint64, commit bool) {
 	e.decided = true
 	e.commit = commit
 	if commit {
-		x.committedX++
+		x.r.stats.XCommitted++
 		var out dbsm.Outcome
 		if e.part != nil {
 			out = r.cert.ForceCommit(e.part)
@@ -400,7 +392,7 @@ func (x *xmgr) decideDelivered(tid uint64, commit bool) {
 		e.seq = out.Seq
 		r.commitLog.Append(out.Seq, tid)
 	} else {
-		x.abortedX++
+		x.r.stats.XAborted++
 	}
 	rec := trace.XRecord{
 		TID:       tid,
@@ -462,7 +454,7 @@ func (x *xmgr) onRelay(src runtimeapi.NodeID, payload []byte) {
 	case xgroup.MsgPrepare:
 		p, err := xgroup.ParsePrepare(payload[1:])
 		if err != nil {
-			r.drops++
+			r.stats.CertDrops++
 			return
 		}
 		r.chargeUnmarshal(len(payload))
@@ -480,7 +472,7 @@ func (x *xmgr) onRelay(src runtimeapi.NodeID, payload []byte) {
 	case xgroup.MsgPrepFrag:
 		tid, total, idx, chunk, err := xgroup.ParsePrepFrag(payload[1:])
 		if err != nil {
-			r.drops++
+			r.stats.CertDrops++
 			return
 		}
 		if e := x.pending[tid]; e != nil {
@@ -517,7 +509,7 @@ func (x *xmgr) onRelay(src runtimeapi.NodeID, payload []byte) {
 	case xgroup.MsgVote:
 		tid, g, commit, err := xgroup.ParseVote(payload[1:])
 		if err != nil {
-			r.drops++
+			r.stats.CertDrops++
 			return
 		}
 		e := x.pending[tid]
@@ -528,7 +520,7 @@ func (x *xmgr) onRelay(src runtimeapi.NodeID, payload []byte) {
 	case xgroup.MsgDecide:
 		tid, commit, err := xgroup.ParseDecision(payload[1:])
 		if err != nil {
-			r.drops++
+			r.stats.CertDrops++
 			return
 		}
 		e := x.pending[tid]
@@ -557,7 +549,7 @@ func (x *xmgr) onRelay(src runtimeapi.NodeID, payload []byte) {
 	case xgroup.MsgAck:
 		tid, g, err := xgroup.ParseAck(payload[1:])
 		if err != nil {
-			r.drops++
+			r.stats.CertDrops++
 			return
 		}
 		e := x.pending[tid]
@@ -567,7 +559,7 @@ func (x *xmgr) onRelay(src runtimeapi.NodeID, payload []byte) {
 		e.acksMask |= xbit(g)
 		x.checkComplete(e)
 	default:
-		r.drops++
+		r.stats.CertDrops++
 	}
 }
 
@@ -634,7 +626,7 @@ func (x *xmgr) sendPrepRelays(e *xtxn) {
 			// Padding trimming alone could not fit the datagram under the
 			// MTU — the item sets themselves overflow it. Ship fragments;
 			// receivers reassemble before treating it as a prepare.
-			x.prepFrags += int64(len(frames))
+			x.r.stats.XPrepFrags += int64(len(frames))
 			for _, f := range frames {
 				x.relayToGroup(g, f)
 			}
@@ -687,7 +679,7 @@ func (x *xmgr) tick(e *xtxn) {
 	if r.stopped || e.doneC || !e.coord {
 		return
 	}
-	x.retries++
+	x.r.stats.XRetries++
 	if !e.coordDecided {
 		if e.voted {
 			x.sendPrepRelays(e)
@@ -735,7 +727,7 @@ func (x *xmgr) onViewChange(v gcs.View) {
 	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
 	for _, tid := range tids {
 		e := x.pending[tid]
-		x.handovers++
+		x.r.stats.XHandovers++
 		e.coord = true
 		e.coordID = x.self()
 		if e.decided {
