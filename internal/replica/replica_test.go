@@ -27,7 +27,7 @@ func buildCluster(t *testing.T, n int) (*sim.Kernel, []*testSite) {
 	return buildClusterOpts(t, n, Options{})
 }
 
-func buildClusterOpts(t *testing.T, n int, opts Options) (*sim.Kernel, []*testSite) {
+func buildClusterOpts(t testing.TB, n int, opts Options) (*sim.Kernel, []*testSite) {
 	t.Helper()
 	k := sim.NewKernel()
 	rng := sim.NewRNG(5)

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/db"
@@ -68,10 +69,17 @@ type xmgr struct {
 	// let a delayed relayed prepare be re-injected into the stream and
 	// re-voted after decide (prepareDelivered treats an unknown TID as new).
 	// The heavy state (prep, part) is dropped at decide; the residue is a
-	// few words per multi-group transaction, so growth is linear in run
-	// length — fine for the bounded simulations this repo runs, revisit with
-	// an epoch-based retirement handshake if runs ever become open-ended.
+	// few words per multi-group transaction. No per-certification scan reads
+	// the map (veto and conflicts walk active), so its growth costs memory
+	// only, linear in run length — fine for the bounded simulations this
+	// repo runs, revisit with an epoch-based retirement handshake if runs
+	// ever become open-ended.
 	pending map[uint64]*xtxn
+	// active indexes the pending entries that hold a live reservation:
+	// exactly those with reserved() && part != nil. Entries join when their
+	// prepare delivers with a commit vote and leave when their decision
+	// delivers; order is irrelevant, so removal swaps with the last slot.
+	active []*xtxn
 	// stash holds decisions that arrived by relay before this member
 	// delivered the prepare on its own stream. It only gates re-injection
 	// (a send), never certification state: the decision takes effect at its
@@ -172,59 +180,45 @@ func (x *xmgr) sequencing() bool {
 }
 
 // veto is the Certifier.Veto predicate: abort any transaction conflicting
-// with an active reservation. The result is an OR over reservations, so map
-// iteration order cannot affect it; reservations change only at stream
-// deliveries, so every group member vetoes identically at the same position.
-// The work charge is fixed before the scan — reservation count times set
-// size, a full count with no short-circuit — so the simulated CPU time it
-// advances is independent of the randomized map order the conflict scan
-// breaks out of.
+// with an active reservation. The result is an OR over reservations, so the
+// order of the active index cannot affect it; reservations change only at
+// stream deliveries, so every group member vetoes identically at the same
+// position. The work charge is fixed before the scan — active-reservation
+// count times set size, with no short-circuit — so the simulated CPU time it
+// advances does not depend on where the conflict scan breaks out.
+//
+//hot:path
 func (x *xmgr) veto(t *dbsm.TxnCert) bool {
-	reserved := 0
-	for _, e := range x.pending {
-		if e.reserved() && e.part != nil {
-			reserved++
-		}
+	if len(x.active) > 0 && x.r.cert.Charge != nil {
+		x.r.cert.Charge(len(x.active) * (len(t.ReadSet) + len(t.WriteSet)))
 	}
-	if reserved > 0 && x.r.cert.Charge != nil {
-		x.r.cert.Charge(reserved * (len(t.ReadSet) + len(t.WriteSet)))
-	}
-	hit := false
-	for _, e := range x.pending {
-		if !e.reserved() || e.part == nil {
-			continue
-		}
+	for _, e := range x.active {
 		p := e.part
 		if t.WriteSet.Intersects(p.WriteSet) || t.WriteSet.Intersects(p.ReadSet) ||
 			t.ReadSet.Intersects(p.WriteSet) {
-			//lint:simdeterminism-ok boolean OR over all reservations is commutative; break only short-circuits
-			hit = true
-			break
+			x.r.stats.XVetoes++
+			return true
 		}
 	}
-	if hit {
-		x.r.stats.XVetoes++
-	}
-	return hit
+	return false
 }
 
 // conflicts reports whether a part conflicts with any other active
 // reservation (the reservation half of the vote).
+//
+//hot:path
 func (x *xmgr) conflicts(tid uint64, p *dbsm.TxnCert) bool {
-	hit := false
-	for _, e := range x.pending {
-		if e.tid == tid || !e.reserved() || e.part == nil {
+	for _, e := range x.active {
+		if e.tid == tid {
 			continue
 		}
 		o := e.part
 		if p.WriteSet.Intersects(o.WriteSet) || p.WriteSet.Intersects(o.ReadSet) ||
 			p.ReadSet.Intersects(o.WriteSet) {
-			//lint:simdeterminism-ok boolean OR over all reservations is commutative; break only short-circuits
-			hit = true
-			break
+			return true
 		}
 	}
-	return hit
+	return false
 }
 
 // terminate is the group-mode termination path: route single-group
@@ -343,6 +337,9 @@ func (x *xmgr) prepareDelivered(p *xgroup.Prepare) {
 		}
 	}
 	e.voted, e.vote = true, vote
+	if e.reserved() && e.part != nil {
+		x.active = append(x.active, e)
+	}
 	if e.coord {
 		x.recordVote(e, x.group, vote)
 		if !e.coordDecided {
@@ -377,6 +374,12 @@ func (x *xmgr) decideDelivered(tid uint64, commit bool) {
 	}
 	if e.decided {
 		return // duplicate injection
+	}
+	if e.reserved() && e.part != nil {
+		// Leave the active index: swap-remove, clearing the vacated slot.
+		i, last := slices.Index(x.active, e), len(x.active)-1
+		x.active[i], x.active[last] = x.active[last], nil
+		x.active = x.active[:last]
 	}
 	e.decided = true
 	e.commit = commit
