@@ -494,11 +494,7 @@ func New(cfg Config) (*Model, error) {
 		minority := make([]*Site, 0, len(pt.Sites))
 		ids := make([]runtimeapi.NodeID, 0, len(pt.Sites))
 		for _, sid := range pt.Sites {
-			idx := int(sid) - 1
-			if idx < 0 || idx >= len(m.sites) {
-				return nil, fmt.Errorf("core: partition targets unknown site %d", sid)
-			}
-			minority = append(minority, m.sites[idx])
+			minority = append(minority, m.sites[sid-1])
 			ids = append(ids, runtimeapi.NodeID(sid))
 		}
 		m.k.ScheduleAt(pt.At, func() {

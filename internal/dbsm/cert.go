@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // SiteID identifies a replica site (matches runtimeapi.NodeID numerically).
@@ -164,19 +163,20 @@ type Outcome struct {
 // order and the procedure are identical everywhere, every replica reaches
 // the same verdict for every transaction.
 //
-// Two interchangeable implementations produce the identical outcome stream.
-// The default (NewCertifier) maintains an inverted last-writer index — per
-// tuple, the highest sequence number that committed a write to it, with
-// table-level entries carrying the table-lock semantics — so certifying a
-// transaction costs O(|ReadSet|) lookups regardless of history depth. The
-// reference implementation (NewScanCertifier) scans the retained history as
-// the paper formulates the procedure; it is kept behind this switch for
-// differential testing and as a fallback.
+// Certification is a conflict test (CheckOnly) followed by an install
+// (ForceCommit); Certify runs both in one step, and the cross-group commit
+// round runs them apart as its vote and its decide. Installs maintain an
+// inverted last-writer index — per tuple, the highest sequence number that
+// committed a write to it — so the default conflict test (NewCertifier)
+// costs O(|ReadSet|) lookups regardless of history depth. The reference
+// conflict test (NewScanCertifier) scans the retained history as the paper
+// formulates the procedure; it exists for differential testing and produces
+// the identical outcome stream.
 type Certifier struct {
 	// Charge, if set, is invoked with the number of set items the
-	// certification actually touched (index lookups and insertions, or
-	// identifier comparisons in scan mode), letting the caller account
-	// CPU cost for this real code.
+	// certification actually touched — the conflict test's index lookups
+	// (identifier comparisons in scan mode), then the install's index
+	// insertions — letting the caller account CPU cost for this real code.
 	Charge func(items int)
 	// MaxHistory bounds retained committed write-sets (0 = unlimited).
 	// Pruning is a pure function of the certified stream, so every
@@ -190,6 +190,7 @@ type Certifier struct {
 	// from the certified stream, so every replica vetoes identically.
 	Veto func(*TxnCert) bool
 
+	// scan selects the reference conflict test (see NewScanCertifier).
 	scan bool
 	// undoEnabled records index restore logs with each history entry.
 	// Only speculative (tentative) certification ever truncates, so the
@@ -199,200 +200,163 @@ type Certifier struct {
 	history     []histEntry
 	seq         uint64
 	pruned      uint64 // highest seq dropped by pruning
-	applied     map[SiteID]uint64
 
-	// Inverted last-writer index (unused in scan mode). lastWriter maps a
-	// tuple to the highest sequence number that committed a write to it;
-	// tableLock and tableAny carry the table-lock semantics per table:
-	// the highest committing sequence holding a whole-table lock, and the
-	// highest committing sequence that wrote anything in the table.
+	// lastWriter maps a tuple to the highest sequence number that
+	// committed a write to it.
 	lastWriter map[TupleID]uint64
-	tableLock  map[uint16]uint64
-	tableAny   map[uint16]uint64
 }
 
-// histEntry is one committed write-set. undo is the index restore log
-// (indexed mode only): replaying it newest-first returns the index to its
-// state before this commit, which is how speculative rollback unwinds
-// tentative certifications.
+// histEntry is one committed write-set. undo is the index restore log:
+// replaying it newest-first returns the index to its state before this
+// commit, which is how speculative rollback unwinds tentative
+// certifications.
 type histEntry struct {
 	seq      uint64
 	writeSet ItemSet
 	undo     []undoRec
 }
 
-// undoRec records one index cell's value prior to an update. prev == 0 means
-// the cell was absent (sequence numbers are 1-based).
+// undoRec records one lastWriter cell's value prior to an update. prev == 0
+// means the cell was absent (sequence numbers are 1-based).
 type undoRec struct {
 	key  TupleID
 	prev uint64
-	kind uint8
 }
 
-const (
-	undoLW    uint8 = iota // lastWriter[key]
-	undoTLock              // tableLock[key.Table()]
-	undoTAny               // tableAny[key.Table()]
-)
-
-// NewCertifier returns an empty certifier using the inverted last-writer
-// index.
+// NewCertifier returns an empty certifier whose conflict test reads the
+// last-writer index.
 func NewCertifier() *Certifier {
-	return &Certifier{
-		applied:    make(map[SiteID]uint64),
-		lastWriter: make(map[TupleID]uint64),
-		tableLock:  make(map[uint16]uint64),
-		tableAny:   make(map[uint16]uint64),
-	}
+	return &Certifier{lastWriter: make(map[TupleID]uint64)}
 }
 
-// NewScanCertifier returns an empty certifier using the reference
-// history-scan procedure (O(concurrent-history × read-set) per transaction).
+// NewScanCertifier returns an empty certifier whose conflict test is the
+// reference history scan (O(concurrent-history × read-set) per transaction).
+// It still maintains the last-writer index, which its conflict test never
+// reads, so install, pruning, rollback and state import run the same code
+// for both certifiers and only the conflict test differs.
 func NewScanCertifier() *Certifier {
-	return &Certifier{scan: true, applied: make(map[SiteID]uint64)}
+	c := NewCertifier()
+	c.scan = true
+	return c
 }
-
-// Scan reports whether this certifier uses the reference scan procedure.
-func (c *Certifier) Scan() bool { return c.scan }
 
 // Seq reports the current commit sequence number (count of committed
 // transactions so far).
 func (c *Certifier) Seq() uint64 { return c.seq }
 
-// HistoryLen reports retained committed write-sets (for GC tests).
+// HistoryLen reports retained committed write-sets (for pruning tests).
 func (c *Certifier) HistoryLen() int { return len(c.history) }
 
-// Certify decides a transaction's fate: it aborts iff its read-set
-// intersects the write-set of any committed transaction that executed
-// concurrently (certification sequence number greater than the
-// transaction's LastCommitted snapshot).
+// Certify decides a transaction's fate: it aborts iff the Veto predicate
+// rejects it or its read-set intersects the write-set of any committed
+// transaction that executed concurrently (certification sequence number
+// greater than the transaction's LastCommitted snapshot), and otherwise
+// commits it.
 //
 //hot:path
 func (c *Certifier) Certify(t *TxnCert) Outcome {
 	if c.Veto != nil && c.Veto(t) {
-		return Outcome{Commit: false}
+		return Outcome{}
 	}
+	if !c.CheckOnly(t) {
+		return Outcome{}
+	}
+	return c.ForceCommit(t)
+}
+
+// CheckOnly runs the certification conflict test — would t commit against
+// the current state? — without committing it. Certify uses it as its test;
+// on its own it is the home-group vote of the cross-group commit round,
+// which does not consult Veto because the caller combines this test with its
+// own reservation check. Charge receives the items touched: the index
+// lookups up to and including the first conflicting read, or the scan's
+// identifier comparisons.
+//
+//hot:path
+func (c *Certifier) CheckOnly(t *TxnCert) bool {
 	if t.LastCommitted < c.pruned && len(t.ReadSet) > 0 {
 		// Entries possibly concurrent with this transaction were
 		// pruned: conflicts can no longer be ruled out. Abort —
 		// deterministically, since pruning follows the certified
 		// stream identically at every replica.
-		return Outcome{Commit: false}
+		return false
 	}
+	work, ok := 0, true
 	if c.scan {
-		return c.certifyScan(t)
-	}
-	work := 0
-	for _, r := range t.ReadSet {
-		work++
-		var last uint64
-		if r.IsTableLock() {
-			last = c.tableAny[r.Table()]
-		} else {
-			last = c.lastWriter[r]
-			if ls := c.tableLock[r.Table()]; ls > last {
-				last = ls
+		// Reference procedure: scan every retained write-set that
+		// committed after the snapshot. Binary search for the first
+		// one, open-coded: a sort.Search closure is a heap allocation
+		// per certification.
+		lo, hi := 0, len(c.history)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if c.history[mid].seq > t.LastCommitted {
+				hi = mid
+			} else {
+				lo = mid + 1
 			}
 		}
-		if last > t.LastCommitted {
-			if c.Charge != nil {
-				c.Charge(work)
+		for i := lo; i < len(c.history); i++ {
+			e := &c.history[i]
+			work += len(e.writeSet) + len(t.ReadSet)
+			if e.writeSet.Intersects(t.ReadSet) {
+				ok = false
+				break
 			}
-			return Outcome{Commit: false}
+		}
+	} else {
+		for _, r := range t.ReadSet {
+			work++
+			if c.lastWriter[r] > t.LastCommitted {
+				ok = false
+				break
+			}
 		}
 	}
 	if c.Charge != nil {
-		c.Charge(work + len(t.WriteSet))
+		c.Charge(work)
 	}
-	c.commit(t)
-	return Outcome{Commit: true, Seq: c.seq}
+	return ok
 }
 
-// certifyScan is the reference procedure: scan every retained write-set that
-// committed after the transaction's snapshot.
+// ForceCommit installs t unconditionally: it advances the sequence, records
+// and indexes the write-set, and applies MaxHistory pruning. Certify uses it
+// as its install; on its own it is the decide of the cross-group commit
+// round, whose verdict was fixed by the vote — re-testing there would be
+// wrong, since unrelated local commits may have advanced the state past t's
+// snapshot while the reservation protected its conflict set. Charge
+// receives |WriteSet|, the index insertions.
 //
 //hot:path
-func (c *Certifier) certifyScan(t *TxnCert) Outcome {
-	// Binary search for the first concurrent entry. Open-coded: a
-	// sort.Search closure is a heap allocation per certification.
-	lo, hi := 0, len(c.history)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if c.history[mid].seq > t.LastCommitted {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	idx := lo
-	comparisons := 0
-	for i := idx; i < len(c.history); i++ {
-		e := &c.history[i]
-		comparisons += len(e.writeSet) + len(t.ReadSet)
-		if e.writeSet.Intersects(t.ReadSet) {
-			if c.Charge != nil {
-				c.Charge(comparisons)
-			}
-			return Outcome{Commit: false}
-		}
-	}
+func (c *Certifier) ForceCommit(t *TxnCert) Outcome {
 	if c.Charge != nil {
-		c.Charge(comparisons)
+		c.Charge(len(t.WriteSet))
 	}
-	c.commit(t)
-	return Outcome{Commit: true, Seq: c.seq}
-}
-
-// commit advances the sequence, records the write-set, and applies the
-// in-certify MaxHistory pruning.
-//
-//hot:path
-func (c *Certifier) commit(t *TxnCert) {
 	c.seq++
-	if len(t.WriteSet) == 0 {
-		return
-	}
-	e := histEntry{seq: c.seq, writeSet: t.WriteSet.Clone()}
-	if !c.scan {
+	if len(t.WriteSet) > 0 {
+		e := histEntry{seq: c.seq, writeSet: t.WriteSet.Clone()}
 		e.undo = c.indexWrites(t.WriteSet)
+		c.history = append(c.history, e)
+		if c.MaxHistory > 0 && len(c.history) > c.MaxHistory {
+			c.dropOldest(len(c.history) - c.MaxHistory)
+		}
 	}
-	c.history = append(c.history, e)
-	if c.MaxHistory > 0 && len(c.history) > c.MaxHistory {
-		c.dropOldest(len(c.history)-c.MaxHistory, true)
-	}
+	return Outcome{Commit: true, Seq: c.seq}
 }
 
 // indexWrites records ws as committed at the current sequence number and —
 // when undo logging is enabled — returns the log restoring the index cells
-// it displaced. ws is sorted, so same-table items are contiguous and the
-// table-level cells are updated once per table.
+// it displaced.
 func (c *Certifier) indexWrites(ws ItemSet) []undoRec {
 	var undo []undoRec
 	if c.undoEnabled {
-		undo = make([]undoRec, 0, len(ws)+2)
+		undo = make([]undoRec, 0, len(ws))
 	}
-	var curTable uint16
-	haveTable := false
 	for _, w := range ws {
-		tbl := w.Table()
-		if !haveTable || tbl != curTable {
-			if c.undoEnabled {
-				undo = append(undo, undoRec{key: w, prev: c.tableAny[tbl], kind: undoTAny})
-			}
-			c.tableAny[tbl] = c.seq
-			curTable, haveTable = tbl, true
+		if c.undoEnabled {
+			undo = append(undo, undoRec{key: w, prev: c.lastWriter[w]})
 		}
-		if w.IsTableLock() {
-			if c.undoEnabled {
-				undo = append(undo, undoRec{key: w, prev: c.tableLock[tbl], kind: undoTLock})
-			}
-			c.tableLock[tbl] = c.seq
-		} else {
-			if c.undoEnabled {
-				undo = append(undo, undoRec{key: w, prev: c.lastWriter[w], kind: undoLW})
-			}
-			c.lastWriter[w] = c.seq
-		}
+		c.lastWriter[w] = c.seq
 	}
 	return undo
 }
@@ -405,32 +369,16 @@ func (c *Certifier) indexWrites(ws ItemSet) []undoRec {
 // crosses the pruning boundary because SpecCertifier prunes only the
 // finalized region.
 func (c *Certifier) truncate(histLen int, seqBefore uint64) {
-	if !c.scan && !c.undoEnabled && len(c.history) > histLen {
-		panic("dbsm: truncate on an indexed certifier without undo logging")
+	if !c.undoEnabled && len(c.history) > histLen {
+		panic("dbsm: truncate on a certifier without undo logging")
 	}
 	for i := len(c.history) - 1; i >= histLen; i-- {
 		e := &c.history[i]
 		for j := len(e.undo) - 1; j >= 0; j-- {
-			u := e.undo[j]
-			switch u.kind {
-			case undoLW:
-				if u.prev == 0 {
-					delete(c.lastWriter, u.key)
-				} else {
-					c.lastWriter[u.key] = u.prev
-				}
-			case undoTLock:
-				if u.prev == 0 {
-					delete(c.tableLock, u.key.Table())
-				} else {
-					c.tableLock[u.key.Table()] = u.prev
-				}
-			case undoTAny:
-				if u.prev == 0 {
-					delete(c.tableAny, u.key.Table())
-				} else {
-					c.tableAny[u.key.Table()] = u.prev
-				}
+			if u := e.undo[j]; u.prev == 0 {
+				delete(c.lastWriter, u.key)
+			} else {
+				c.lastWriter[u.key] = u.prev
 			}
 		}
 		c.history[i] = histEntry{}
@@ -439,41 +387,21 @@ func (c *Certifier) truncate(histLen int, seqBefore uint64) {
 	c.seq = seqBefore
 }
 
-// dropOldest removes the oldest drop history entries. When prune is true the
-// pruning boundary advances to the newest dropped sequence (the MaxHistory
-// retention rule); when false the boundary is untouched (advisory GC). In
-// indexed mode, index cells still pointing at dropped sequences are deleted:
-// any transaction that survives the pruned-window abort rule has
-// LastCommitted at or above every dropped sequence, so those cells can never
-// produce a conflict again — removing them bounds the index to the live
-// history.
-func (c *Certifier) dropOldest(drop int, prune bool) {
+// dropOldest removes the oldest drop history entries and advances the
+// pruning boundary to the newest dropped sequence. Index cells still
+// pointing at dropped sequences are deleted: any transaction that survives
+// the pruned-window abort rule has LastCommitted at or above every dropped
+// sequence, so those cells can never produce a conflict again — removing
+// them bounds the index to the live history.
+func (c *Certifier) dropOldest(drop int) {
 	if drop <= 0 {
 		return
 	}
-	boundary := c.history[drop-1].seq
-	if prune && boundary > c.pruned {
-		c.pruned = boundary
-	}
-	if !c.scan {
-		for i := 0; i < drop; i++ {
-			ws := c.history[i].writeSet
-			var curTable uint16
-			haveTable := false
-			for _, w := range ws {
-				tbl := w.Table()
-				if !haveTable || tbl != curTable {
-					if c.tableAny[tbl] <= boundary {
-						delete(c.tableAny, tbl)
-					}
-					if c.tableLock[tbl] <= boundary {
-						delete(c.tableLock, tbl)
-					}
-					curTable, haveTable = tbl, true
-				}
-				if !w.IsTableLock() && c.lastWriter[w] <= boundary {
-					delete(c.lastWriter, w)
-				}
+	c.pruned = c.history[drop-1].seq
+	for i := 0; i < drop; i++ {
+		for _, w := range c.history[i].writeSet {
+			if c.lastWriter[w] <= c.pruned {
+				delete(c.lastWriter, w)
 			}
 		}
 	}
@@ -482,34 +410,6 @@ func (c *Certifier) dropOldest(drop int, prune bool) {
 		c.history[i] = histEntry{}
 	}
 	c.history = c.history[:n]
-}
-
-// NoteApplied records that a site has applied all transactions up to seq.
-//
-// CAUTION: GC based on these advisory values is only safe when the caller
-// can bound the age of in-flight snapshots; replica deployments use the
-// deterministic MaxHistory pruning instead, because timer-driven GC is not a
-// function of the certified stream and can diverge across replicas.
-func (c *Certifier) NoteApplied(site SiteID, seq uint64) {
-	if seq > c.applied[site] {
-		c.applied[site] = seq
-	}
-}
-
-// GC drops history entries every site has already applied. sites lists the
-// current replica membership.
-func (c *Certifier) GC(sites []SiteID) {
-	if len(sites) == 0 {
-		return
-	}
-	low := c.seq
-	for _, s := range sites {
-		if a := c.applied[s]; a < low {
-			low = a
-		}
-	}
-	idx := sort.Search(len(c.history), func(i int) bool { return c.history[i].seq > low })
-	c.dropOldest(idx, false)
 }
 
 // String aids debugging.

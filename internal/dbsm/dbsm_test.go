@@ -8,12 +8,8 @@ import (
 
 func TestTupleIDEncoding(t *testing.T) {
 	id := MakeTupleID(7, 123456)
-	if id.Table() != 7 || id.Row() != 123456 || id.IsTableLock() {
+	if id.Table() != 7 || id.Row() != 123456 {
 		t.Fatalf("id = %x: table=%d row=%d", uint64(id), id.Table(), id.Row())
-	}
-	lock := MakeTableLock(7)
-	if lock.Table() != 7 || !lock.IsTableLock() {
-		t.Fatalf("lock = %x", uint64(lock))
 	}
 	// Row truncation to 48 bits.
 	big := MakeTupleID(1, 1<<60|42)
@@ -55,26 +51,7 @@ func TestIntersects(t *testing.T) {
 	}
 }
 
-func TestIntersectsTableLock(t *testing.T) {
-	tuples := NewItemSet(MakeTupleID(5, 100), MakeTupleID(6, 1))
-	lock := NewItemSet(MakeTableLock(5))
-	if !tuples.Intersects(lock) {
-		t.Fatal("table lock vs tuple of same table must conflict")
-	}
-	if !lock.Intersects(tuples) {
-		t.Fatal("must be symmetric")
-	}
-	other := NewItemSet(MakeTableLock(7))
-	if tuples.Intersects(other) {
-		t.Fatal("lock on different table must not conflict")
-	}
-	if !lock.Intersects(NewItemSet(MakeTableLock(5))) {
-		t.Fatal("lock vs lock on same table must conflict")
-	}
-}
-
-// Property: Intersects is symmetric and agrees with a naive n^2 check
-// including table-lock semantics.
+// Property: Intersects is symmetric and agrees with a naive n^2 check.
 func TestIntersectsProperty(t *testing.T) {
 	naive := func(a, b ItemSet) bool {
 		for _, x := range a {
@@ -82,26 +59,17 @@ func TestIntersectsProperty(t *testing.T) {
 				if x == y {
 					return true
 				}
-				if x.Table() == y.Table() && (x.IsTableLock() || y.IsTableLock()) {
-					return true
-				}
 			}
 		}
 		return false
 	}
-	f := func(ar, br []uint16, lockA, lockB bool) bool {
+	f := func(ar, br []uint16) bool {
 		var a, b ItemSet
 		for _, v := range ar {
 			a = append(a, MakeTupleID(uint16(v%4), uint64(v%16)))
 		}
 		for _, v := range br {
 			b = append(b, MakeTupleID(uint16(v%4), uint64(v%16)))
-		}
-		if lockA && len(ar) > 0 {
-			a = append(a, MakeTableLock(uint16(ar[0]%4)))
-		}
-		if lockB && len(br) > 0 {
-			b = append(b, MakeTableLock(uint16(br[0]%4)))
 		}
 		a, b = NewItemSet(a...), NewItemSet(b...)
 		want := naive(a, b)
@@ -222,40 +190,71 @@ func TestCertifierDeterministicAcrossReplicas(t *testing.T) {
 	}
 }
 
-func TestCertifierGC(t *testing.T) {
-	c := NewCertifier()
-	for i := 0; i < 10; i++ {
-		ws := NewItemSet(MakeTupleID(1, uint64(i)))
-		out := c.Certify(&TxnCert{TID: uint64(i), ReadSet: ws, WriteSet: ws, LastCommitted: c.Seq()})
-		if !out.Commit {
-			t.Fatal("unexpected abort")
-		}
-	}
-	if c.HistoryLen() != 10 {
-		t.Fatalf("history = %d", c.HistoryLen())
-	}
-	c.NoteApplied(1, 10)
-	c.NoteApplied(2, 4)
-	c.GC([]SiteID{1, 2})
-	if c.HistoryLen() != 6 {
-		t.Fatalf("history after GC = %d, want 6", c.HistoryLen())
-	}
-	c.NoteApplied(2, 10)
-	c.GC([]SiteID{1, 2})
-	if c.HistoryLen() != 0 {
-		t.Fatalf("history after full GC = %d, want 0", c.HistoryLen())
-	}
-}
-
+// TestCertifierChargeHook pins the item counts the indexed certifier charges
+// per call. The replica multiplies them by a per-item cost, so they are the
+// simulated CPU time of certification: a commit charges its lookups plus its
+// index insertions, a conflict abort stops charging at the first conflicting
+// read, and aborts decided before the conflict test charge nothing.
 func TestCertifierChargeHook(t *testing.T) {
-	c := NewCertifier()
-	var charged int
-	c.Charge = func(items int) { charged += items }
-	ws := NewItemSet(MakeTupleID(1, 1))
-	c.Certify(&TxnCert{TID: 1, ReadSet: ws, WriteSet: ws})
-	c.Certify(&TxnCert{TID: 2, ReadSet: ws, WriteSet: ws, LastCommitted: 0})
-	if charged == 0 {
-		t.Fatal("charge hook never invoked with work")
+	id := MakeTupleID
+	// Every case starts from a certifier whose history holds (5,9)
+	// written at seq 1 and (7,1),(7,2) written at seq 2; with
+	// MaxHistory 1 the second commit prunes the first.
+	setup := func(maxHistory int) *Certifier {
+		c := NewCertifier()
+		c.MaxHistory = maxHistory
+		c.Certify(&TxnCert{TID: 1, WriteSet: NewItemSet(id(5, 9))})
+		c.Certify(&TxnCert{TID: 2, LastCommitted: 1, WriteSet: NewItemSet(id(7, 1), id(7, 2))})
+		return c
+	}
+	reads := NewItemSet(id(1, 1), id(2, 1), id(5, 9), id(6, 1)) // (5,9) is 3rd
+	for _, tc := range []struct {
+		name       string
+		maxHistory int
+		run        func(c *Certifier)
+		want       int
+	}{
+		{"commit", 0, func(c *Certifier) {
+			c.Certify(&TxnCert{TID: 3, LastCommitted: 2, ReadSet: reads, WriteSet: NewItemSet(id(1, 1), id(2, 1))})
+		}, 4 + 2},
+		{"read-only commit", 0, func(c *Certifier) {
+			c.Certify(&TxnCert{TID: 3, LastCommitted: 2, ReadSet: reads})
+		}, 4},
+		{"blind write commit", 0, func(c *Certifier) {
+			c.Certify(&TxnCert{TID: 3, WriteSet: NewItemSet(id(5, 9), id(6, 6), id(8, 8))})
+		}, 3},
+		{"conflict abort", 0, func(c *Certifier) {
+			c.Certify(&TxnCert{TID: 3, LastCommitted: 0, ReadSet: reads, WriteSet: reads})
+		}, 3},
+		{"conflict abort on first read", 0, func(c *Certifier) {
+			c.Certify(&TxnCert{TID: 3, LastCommitted: 1, ReadSet: NewItemSet(id(7, 2), id(9, 9))})
+		}, 1},
+		{"stale snapshot abort", 1, func(c *Certifier) {
+			c.Certify(&TxnCert{TID: 3, LastCommitted: 0, ReadSet: reads, WriteSet: reads})
+		}, 0},
+		{"veto abort", 0, func(c *Certifier) {
+			c.Veto = func(*TxnCert) bool { return true }
+			c.Certify(&TxnCert{TID: 3, LastCommitted: 2, ReadSet: reads, WriteSet: reads})
+		}, 0},
+		{"vote for", 0, func(c *Certifier) {
+			c.CheckOnly(&TxnCert{TID: 3, LastCommitted: 2, ReadSet: reads, WriteSet: reads})
+		}, 4},
+		{"vote against", 0, func(c *Certifier) {
+			c.CheckOnly(&TxnCert{TID: 3, LastCommitted: 0, ReadSet: reads, WriteSet: reads})
+		}, 3},
+		{"decide", 0, func(c *Certifier) {
+			c.ForceCommit(&TxnCert{TID: 3, LastCommitted: 0, ReadSet: reads, WriteSet: NewItemSet(id(1, 1), id(2, 1))})
+		}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := setup(tc.maxHistory)
+			charged := 0
+			c.Charge = func(items int) { charged += items }
+			tc.run(c)
+			if charged != tc.want {
+				t.Fatalf("charged %d items, want %d", charged, tc.want)
+			}
+		})
 	}
 }
 

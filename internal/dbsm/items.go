@@ -15,15 +15,13 @@ import (
 )
 
 // TupleID identifies one tuple. The table identifier occupies the highest 16
-// bits so that comparing a tuple against a whole-table lock reduces to
-// comparing the high-order bits (Section 3.3).
+// bits, so identifiers sort by table and the owning table of any tuple is a
+// shift away (Section 3.3).
 type TupleID uint64
 
 const (
 	tableShift = 48
 	rowMask    = (uint64(1) << tableShift) - 1
-	// tableLockRow marks an identifier that locks an entire table.
-	tableLockRow = rowMask
 )
 
 // MakeTupleID builds an identifier for a row of a table. Rows are truncated
@@ -32,21 +30,11 @@ func MakeTupleID(table uint16, row uint64) TupleID {
 	return TupleID(uint64(table)<<tableShift | (row & rowMask))
 }
 
-// MakeTableLock builds the identifier representing a lock on the whole
-// table, used when a read-set is too large to ship (the table-lock
-// threshold).
-func MakeTableLock(table uint16) TupleID {
-	return TupleID(uint64(table)<<tableShift | tableLockRow)
-}
-
 // Table extracts the table identifier.
 func (id TupleID) Table() uint16 { return uint16(uint64(id) >> tableShift) }
 
 // Row extracts the row identifier.
 func (id TupleID) Row() uint64 { return uint64(id) & rowMask }
-
-// IsTableLock reports whether id locks a whole table.
-func (id TupleID) IsTableLock() bool { return uint64(id)&rowMask == tableLockRow }
 
 // ItemSet is a sorted, duplicate-free set of tuple identifiers. Keeping both
 // sets ordered lets certification conclude in a single traversal
@@ -81,58 +69,27 @@ func (s ItemSet) Add(id TupleID) ItemSet {
 	return s
 }
 
-// Contains reports set membership (exact identifier, not table-lock
-// semantics).
+// Contains reports set membership.
 func (s ItemSet) Contains(id TupleID) bool {
 	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
 	return i < len(s) && s[i] == id
 }
 
-// Intersects reports whether the two sets conflict, in a single merged
-// traversal. A table lock in either set conflicts with any identifier of the
-// same table in the other (tuple or lock), implementing the paper's
-// tuple-versus-table comparison via the high-order table bits. The traversal
-// merges by table group; because a lock sorts after every tuple of its
-// table, it is always the last element of its group, so lock conflicts are
-// detected by inspecting group tails before the exact-match merge.
+// Intersects reports whether the two sets share an identifier, in a single
+// merged traversal of the two sorted sets.
 func (s ItemSet) Intersects(o ItemSet) bool {
 	i, j := 0, 0
 	for i < len(s) && j < len(o) {
-		ta, tb := s[i].Table(), o[j].Table()
 		switch {
-		case ta < tb:
+		case s[i] == o[j]:
+			return true
+		case s[i] < o[j]:
 			i++
-		case tb < ta:
-			j++
 		default:
-			ea, eb := s.groupEnd(i), o.groupEnd(j)
-			if s[ea-1].IsTableLock() || o[eb-1].IsTableLock() {
-				return true
-			}
-			for i < ea && j < eb {
-				switch {
-				case s[i] == o[j]:
-					return true
-				case s[i] < o[j]:
-					i++
-				default:
-					j++
-				}
-			}
-			i, j = ea, eb
+			j++
 		}
 	}
 	return false
-}
-
-// groupEnd returns the index one past the last element sharing the table of
-// s[i].
-func (s ItemSet) groupEnd(i int) int {
-	t := s[i].Table()
-	for i < len(s) && s[i].Table() == t {
-		i++
-	}
-	return i
 }
 
 // Clone returns an independent copy.

@@ -124,6 +124,16 @@ func (s *SpecCertifier) Invalidate(tid uint64) []*TxnCert {
 	return nil
 }
 
+// InvalidateAll rolls back every outstanding tentative decision and returns
+// the rolled-back transactions in tentative order for re-speculation. The
+// cross-commit manager calls it before mutating shared certifier state at a
+// final-order event (reservation install, forced commit): tentative outcomes
+// computed against the pre-event state would otherwise be served by Final's
+// head-match fast path after the state changed under them.
+func (s *SpecCertifier) InvalidateAll() []*TxnCert {
+	return s.rollback(0)
+}
+
 // rollback undoes every tentative decision, restoring the certifier to the
 // finalized state, and returns the rolled-back transactions in tentative
 // order minus the one being finalized (skip).
@@ -160,7 +170,7 @@ func (s *SpecCertifier) prune() {
 	if drop <= 0 {
 		return
 	}
-	s.c.dropOldest(drop, true)
+	s.c.dropOldest(drop)
 	for i := range s.tent {
 		s.tent[i].histLen -= drop
 	}

@@ -55,26 +55,19 @@ func (c *Certifier) ExportState() *CertState {
 
 // ImportState replaces the certifier's state with a snapshot, rebuilding the
 // last-writer index (and, when undo logging is enabled, the restore logs) by
-// replaying the retained history. Any prior state is discarded; the applied
-// vector is kept, as it tracks sites rather than history.
+// replaying the retained history. Any prior state is discarded.
 func (c *Certifier) ImportState(st *CertState) {
 	for i := range c.history {
 		c.history[i] = histEntry{}
 	}
 	c.history = c.history[:0]
-	if !c.scan {
-		c.lastWriter = make(map[TupleID]uint64, len(st.History))
-		c.tableLock = make(map[uint16]uint64)
-		c.tableAny = make(map[uint16]uint64)
-	}
+	c.lastWriter = make(map[TupleID]uint64, len(st.History))
 	c.pruned = st.Pruned
 	for i := range st.History {
 		rec := &st.History[i]
 		e := histEntry{seq: rec.Seq, writeSet: rec.WriteSet.Clone()}
 		c.seq = rec.Seq
-		if !c.scan {
-			e.undo = c.indexWrites(e.writeSet)
-		}
+		e.undo = c.indexWrites(e.writeSet)
 		c.history = append(c.history, e)
 	}
 	c.seq = st.Seq

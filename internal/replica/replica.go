@@ -35,16 +35,6 @@ type Options struct {
 	// two-stage certify-on-tentative / commit-on-final pipeline described
 	// in the package comment.
 	Optimistic bool
-	// CertCostPerItem is the CPU cost per identifier comparison during
-	// certification (real-code cost model). Defaults to 40ns.
-	CertCostPerItem sim.Time
-	// MarshalCostPerByte is the CPU cost per marshaled byte. Defaults to
-	// 2ns.
-	MarshalCostPerByte float64
-	// MaxHistory bounds the certifier's retained write-sets. Pruning is
-	// deterministic across replicas (a pure function of the certified
-	// stream). Defaults to 50000.
-	MaxHistory int
 	// Recovering starts the replica in recovery mode: final deliveries are
 	// buffered (and speculation suppressed) until InstallSnapshot seeds
 	// the certifier and commit log from a donor and replays the buffered
@@ -70,22 +60,23 @@ type Options struct {
 	GroupCount    int
 	SitesPerGroup int
 	GroupOf       func(dbsm.TupleID) int
-	// XRetryPeriod is the cross-group coordinator's retransmit period.
-	// Defaults to 100ms.
-	XRetryPeriod sim.Time
 }
 
-func (o *Options) fill() {
-	if o.CertCostPerItem == 0 {
-		o.CertCostPerItem = 40 * sim.Nanosecond
-	}
-	if o.MarshalCostPerByte == 0 {
-		o.MarshalCostPerByte = 2
-	}
-	if o.MaxHistory == 0 {
-		o.MaxHistory = 50000
-	}
-}
+// The real-code cost model and retention bounds every replica shares.
+const (
+	// certCostPerItem is the CPU cost per certification item touched
+	// (index lookup or insertion).
+	certCostPerItem = 40 * sim.Nanosecond
+	// marshalCostPerByte is the CPU cost per marshaled or unmarshaled
+	// byte.
+	marshalCostPerByte = 2 * sim.Nanosecond
+	// maxHistory bounds the certifier's retained write-sets. Pruning is
+	// deterministic across replicas (a pure function of the certified
+	// stream).
+	maxHistory = 50000
+	// xRetryPeriod is the cross-group coordinator's retransmit period.
+	xRetryPeriod = 100 * sim.Millisecond
+)
 
 // Stats counts replica-level termination activity. Each field is the
 // counter's only declaration: core folds it across incarnations and sites
@@ -209,7 +200,6 @@ type bufferedDelivery struct {
 // New builds the replica glue and installs its hooks on the stack and the
 // server. Call Start after the stack has started.
 func New(rt runtimeapi.Runtime, stack *gcs.Stack, server *db.Server, opts Options) *Replica {
-	opts.fill()
 	r := &Replica{
 		rt:         rt,
 		stack:      stack,
@@ -221,9 +211,9 @@ func New(rt runtimeapi.Runtime, stack *gcs.Stack, server *db.Server, opts Option
 		backlog:    Watermark{High: opts.BacklogHigh, Low: opts.BacklogLow},
 	}
 	r.cert.Charge = func(items int) {
-		rt.Charge(sim.Time(items) * opts.CertCostPerItem)
+		rt.Charge(sim.Time(items) * certCostPerItem)
 	}
-	r.cert.MaxHistory = opts.MaxHistory
+	r.cert.MaxHistory = maxHistory
 	if opts.Optimistic {
 		r.spec = dbsm.NewSpecCertifier(r.cert)
 		r.tent = make(map[uint64]*tentTxn)
@@ -470,7 +460,7 @@ func stageTerminate(r *Replica, t *db.Txn, _ []byte) {
 	}
 	wire := tc.MarshalTo(r.scratch)
 	r.scratch = wire
-	r.rt.Charge(sim.Time(r.opts.MarshalCostPerByte * float64(len(wire))))
+	r.rt.Charge(sim.Time(len(wire)) * marshalCostPerByte)
 	if !r.stack.Multicast(wire) {
 		// The bounded transmit queue is full: refuse the termination
 		// instead of queueing without bound. The server turns this into an
@@ -486,7 +476,7 @@ func stageTerminate(r *Replica, t *db.Txn, _ []byte) {
 
 // chargeUnmarshal accounts the CPU cost of decoding a payload.
 func (r *Replica) chargeUnmarshal(n int) {
-	r.rt.Charge(sim.Time(r.opts.MarshalCostPerByte * float64(n)))
+	r.rt.Charge(sim.Time(n) * marshalCostPerByte)
 }
 
 // onOptimistic receives one tentatively-delivered message. The upcall runs

@@ -311,8 +311,7 @@ func TestProtocolsDecideIdentically(t *testing.T) {
 
 func TestCertifierHistoryBounded(t *testing.T) {
 	k, sites := buildCluster(t, 3)
-	// MaxHistory default is large; set small via options on a fresh
-	// replica is awkward mid-test, so check the wired default.
+	// The replica wires its fixed retention bound into the certifier.
 	if sites[0].rep.Certifier().MaxHistory != 50000 {
 		t.Fatalf("default MaxHistory = %d", sites[0].rep.Certifier().MaxHistory)
 	}

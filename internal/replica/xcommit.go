@@ -61,7 +61,6 @@ type xmgr struct {
 	group    int // own 1-based group
 	groups   int
 	perGroup int
-	retry    sim.Time
 
 	// pending retains every cross-group transaction this site ever saw, even
 	// after resolution — deliberately. Late retransmitted probes must be
@@ -158,13 +157,9 @@ func newXmgr(r *Replica) *xmgr {
 		group:    r.opts.Group,
 		groups:   r.opts.GroupCount,
 		perGroup: r.opts.SitesPerGroup,
-		retry:    r.opts.XRetryPeriod,
 		pending:  make(map[uint64]*xtxn),
 		stash:    make(map[uint64]bool),
 		frags:    make(map[uint64]*fragAsm),
-	}
-	if x.retry == 0 {
-		x.retry = 100 * sim.Millisecond
 	}
 	return x
 }
@@ -233,7 +228,7 @@ func (x *xmgr) terminate(t *db.Txn, tc *dbsm.TxnCert) {
 		wire := append(r.scratch[:0], xgroup.MsgTxn)
 		wire = append(wire, x.body...)
 		r.scratch = wire
-		r.rt.Charge(sim.Time(r.opts.MarshalCostPerByte * float64(len(wire))))
+		r.rt.Charge(sim.Time(len(wire)) * marshalCostPerByte)
 		if !r.stack.Multicast(wire) {
 			r.stats.MulticastRefused++
 			r.server.RejectPending(t.TID)
@@ -252,7 +247,7 @@ func (x *xmgr) terminate(t *db.Txn, tc *dbsm.TxnCert) {
 	}
 	wire := xgroup.AppendPrepare(r.scratch[:0], xgroup.MsgPrepare, prep, 0)
 	r.scratch = wire
-	r.rt.Charge(sim.Time(r.opts.MarshalCostPerByte * float64(len(wire))))
+	r.rt.Charge(sim.Time(len(wire)) * marshalCostPerByte)
 	if !r.stack.Multicast(wire) {
 		r.stats.MulticastRefused++
 		r.server.RejectPending(t.TID)
@@ -671,7 +666,7 @@ func (x *xmgr) checkComplete(e *xtxn) {
 
 // armTimer schedules the coordinator's retransmit tick.
 func (x *xmgr) armTimer(e *xtxn) {
-	x.r.rt.Schedule(x.retry, func() { x.tick(e) })
+	x.r.rt.Schedule(xRetryPeriod, func() { x.tick(e) })
 }
 
 // tick retransmits whatever the round is still missing: prepares to groups
