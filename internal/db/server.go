@@ -71,6 +71,13 @@ type Server struct {
 	active      map[uint64]*Txn
 	lastApplied uint64
 	down        bool
+	// snaps lists update transactions in Submit order with the snapshot
+	// each took — non-decreasing, since lastApplied only grows within an
+	// incarnation. Entries whose transaction can no longer send a
+	// certification message are dropped lazily from the front, which
+	// makes LowWater O(1) amortised.
+	snaps    []snapEntry
+	snapHead int
 
 	classes map[string]*ClassStats
 	// CertLat samples the distributed termination latency in ms (commit
@@ -184,6 +191,8 @@ func (s *Server) Restart() {
 	s.lm = NewLockManager()
 	s.wireLockHooks()
 	s.pendingCert = make(map[uint64]*Txn)
+	clear(s.snaps)
+	s.snaps, s.snapHead = s.snaps[:0], 0
 	// The backpressure assertion belonged to the dead incarnation's
 	// replica; the rebuilt one starts with an empty backlog.
 	s.backpressured = false
@@ -261,6 +270,45 @@ func (s *Server) Backpressured() bool { return s.backpressured }
 // ActiveCount reports in-flight transactions (tests, introspection).
 func (s *Server) ActiveCount() int { return len(s.active) }
 
+// snapEntry is one Submit's record in the low-water FIFO.
+type snapEntry struct {
+	t    *Txn
+	snap uint64
+}
+
+// LowWater reports this site's low-water mark: the smallest snapshot among
+// its update transactions that may still send a certification message
+// (active, or awaiting their own certification after a preemption), or
+// lastApplied when there are none. No certification message this site sends
+// later carries a snapshot below it, so replicas may prune every committed
+// write-set at or below the smallest mark of all sites. Read-only
+// transactions never send one and are not counted.
+func (s *Server) LowWater() uint64 {
+	for ; s.snapHead < len(s.snaps); s.snapHead++ {
+		e := s.snaps[s.snapHead]
+		// The snapshot check discards an entry left behind by an earlier
+		// submission of a transaction that is live again after a retry.
+		if e.t.Snapshot == e.snap && (s.active[e.t.TID] == e.t || s.pendingCert[e.t.TID] == e.t) {
+			return e.snap
+		}
+		s.snaps[s.snapHead] = snapEntry{}
+	}
+	return s.lastApplied
+}
+
+// noteSnapshot appends a submitted update transaction to the low-water
+// FIFO, first trimming dead entries from the front and compacting once the
+// dead prefix is half the slice.
+func (s *Server) noteSnapshot(t *Txn) {
+	s.LowWater()
+	if s.snapHead > 0 && s.snapHead >= len(s.snaps)/2 {
+		n := copy(s.snaps, s.snaps[s.snapHead:])
+		clear(s.snaps[n:])
+		s.snaps, s.snapHead = s.snaps[:n], 0
+	}
+	s.snaps = append(s.snaps, snapEntry{t: t, snap: t.Snapshot})
+}
+
 // Submit starts a transaction: take the snapshot, acquire all write locks
 // atomically, then execute.
 func (s *Server) Submit(t *Txn) {
@@ -295,6 +343,9 @@ func (s *Server) Submit(t *Txn) {
 	s.active[t.TID] = t
 	t.SubmitAt = s.k.Now()
 	t.Snapshot = s.lastApplied
+	if !t.ReadOnly {
+		s.noteSnapshot(t)
+	}
 	s.Class(t.Class).Submitted++
 	// One continuation closure serves every pipeline step of this
 	// transaction: stale callbacks (after preemption or crash) are fenced

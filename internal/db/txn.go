@@ -117,12 +117,19 @@ type Txn struct {
 	stepFn    func() // single pipeline continuation, bound once at Submit
 }
 
-// CertInfo builds the certification message for this transaction.
-func (t *Txn) CertInfo(site dbsm.SiteID) *dbsm.TxnCert {
+// CertInfo builds the certification message for this transaction. Site is
+// derived from the TID, as the decoder does, and LowWater is the submitting
+// server's low-water mark, never above the transaction's own snapshot.
+func (t *Txn) CertInfo() *dbsm.TxnCert {
+	mark := t.Snapshot
+	if t.server != nil {
+		mark = min(mark, t.server.LowWater())
+	}
 	return &dbsm.TxnCert{
 		TID:           t.TID,
-		Site:          site,
+		Site:          dbsm.TIDSite(t.TID),
 		LastCommitted: t.Snapshot,
+		LowWater:      mark,
 		ReadSet:       t.ReadSet,
 		WriteSet:      t.WriteSet,
 		WriteBytes:    t.WriteBytes,

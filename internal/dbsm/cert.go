@@ -27,11 +27,19 @@ func TIDSite(tid uint64) SiteID { return SiteID(tid >> 32) }
 type TxnCert struct {
 	// TID is the globally unique transaction identifier.
 	TID uint64
-	// Site is the originating replica.
+	// Site is the originating replica. It is not sent: the decoder
+	// derives it as TIDSite(TID).
 	Site SiteID
 	// LastCommitted is the certification sequence number of the last
 	// transaction applied at Site when this transaction started.
 	LastCommitted uint64
+	// LowWater is Site's low-water mark when the message was built: no
+	// certification message Site sends later carries a LastCommitted
+	// below it. Certifiers prune their history to the smallest delivered
+	// mark (see Certifier.Observe). The wire carries it as a 32-bit lag
+	// below LastCommitted that saturates at all ones, which decodes as
+	// mark 0: a lag too long to encode yields a lower, conservative mark.
+	LowWater uint64
 	// ReadSet and WriteSet are the sorted tuple identifier sets.
 	ReadSet  ItemSet
 	WriteSet ItemSet
@@ -39,7 +47,22 @@ type TxnCert struct {
 	WriteBytes int
 }
 
+// certHeader is the fixed header: TID, low-water lag, LastCommitted, the two
+// set lengths and WriteBytes.
 const certHeader = 8 + 4 + 8 + 4 + 4 + 4
+
+// lagSaturated is the lag word of a mark too far below LastCommitted to
+// encode; it decodes as mark 0.
+const lagSaturated = 1<<32 - 1
+
+// lowWaterLag encodes the low-water mark as its distance below LastCommitted,
+// saturating at lagSaturated; a mark above LastCommitted encodes as 0.
+func (t *TxnCert) lowWaterLag() uint32 {
+	if t.LowWater >= t.LastCommitted {
+		return 0
+	}
+	return uint32(min(t.LastCommitted-t.LowWater, lagSaturated))
+}
 
 // MarshaledSize reports the wire size of the certification message,
 // including value padding.
@@ -76,7 +99,7 @@ func (t *TxnCert) MarshalTo(buf []byte) []byte {
 	}
 	buf = buf[:0]
 	buf = binary.BigEndian.AppendUint64(buf, t.TID)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(t.Site))
+	buf = binary.BigEndian.AppendUint32(buf, t.lowWaterLag())
 	buf = binary.BigEndian.AppendUint64(buf, t.LastCommitted)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(t.ReadSet)))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(t.WriteSet)))
@@ -98,10 +121,11 @@ func (t *TxnCert) MarshalTo(buf []byte) []byte {
 // errBadCert reports a malformed certification message.
 var errBadCert = errors.New("dbsm: malformed certification message")
 
-// Unmarshal decodes a certification message. The item sets are copied out,
-// so b may be reused or mutated afterwards. Length fields are validated
-// against len(b) before any offset arithmetic, so hostile values cannot
-// overflow the offset computations.
+// Unmarshal decodes a certification message. Site is derived from the TID
+// and LowWater from its lag word. The item sets are copied out, so b may be
+// reused or mutated afterwards. Length fields are validated against len(b)
+// before any offset arithmetic, so hostile values cannot overflow the offset
+// computations.
 //
 //hot:path
 func Unmarshal(b []byte) (*TxnCert, error) {
@@ -111,8 +135,11 @@ func Unmarshal(b []byte) (*TxnCert, error) {
 	//lint:hotalloc-ok decode returns a fresh message by contract; one struct per decode
 	t := &TxnCert{
 		TID:           binary.BigEndian.Uint64(b[0:8]),
-		Site:          SiteID(binary.BigEndian.Uint32(b[8:12])),
 		LastCommitted: binary.BigEndian.Uint64(b[12:20]),
+	}
+	t.Site = TIDSite(t.TID)
+	if lag := uint64(binary.BigEndian.Uint32(b[8:12])); lag < lagSaturated && lag < t.LastCommitted {
+		t.LowWater = t.LastCommitted - lag
 	}
 	nr := int(binary.BigEndian.Uint32(b[20:24]))
 	nw := int(binary.BigEndian.Uint32(b[24:28]))
@@ -172,16 +199,27 @@ type Outcome struct {
 // conflict test (NewScanCertifier) scans the retained history as the paper
 // formulates the procedure; it exists for differential testing and produces
 // the identical outcome stream.
+//
+// The retained history only has to reach back to the oldest snapshot any
+// transaction still in flight can carry. Every message carries its sender's
+// low-water mark; Observe, run at final delivery, records it and prunes the
+// history to the horizon — the smallest latest mark over the tracked sites
+// (TrackSites). The horizon is a pure function of the delivered stream, so
+// every replica prunes identically, and no later message can carry a
+// snapshot below it, so the pruned-window abort never fires. A site that
+// stops sending (crashed or excluded) keeps its last mark, which holds the
+// window open back to its crash point. MaxHistory caps the window for the
+// case where a site never sends at all.
 type Certifier struct {
 	// Charge, if set, is invoked with the number of set items the
 	// certification actually touched — the conflict test's index lookups
 	// (identifier comparisons in scan mode), then the install's index
 	// insertions — letting the caller account CPU cost for this real code.
 	Charge func(items int)
-	// MaxHistory bounds retained committed write-sets (0 = unlimited).
-	// Pruning is a pure function of the certified stream, so every
-	// replica prunes identically; a transaction whose snapshot predates
-	// the retained window aborts deterministically (conservative).
+	// MaxHistory caps retained committed write-sets (0 = unlimited). The
+	// cap is a pure function of the certified stream, so every replica
+	// prunes identically; a transaction whose snapshot predates the
+	// retained window aborts deterministically (conservative).
 	MaxHistory int
 	// Veto, if set, is consulted before the conflict test; returning true
 	// aborts the transaction regardless of its sets. The cross-group
@@ -190,6 +228,14 @@ type Certifier struct {
 	// from the certified stream, so every replica vetoes identically.
 	Veto func(*TxnCert) bool
 
+	// StaleAborts counts conflict tests aborted because the snapshot
+	// predates the retained window. Horizon pruning keeps it at zero; only
+	// a MaxHistory cap hit can make it fire.
+	StaleAborts int64
+	// CapHits counts prunings that the MaxHistory cap forced past the
+	// horizon.
+	CapHits int64
+
 	// scan selects the reference conflict test (see NewScanCertifier).
 	scan bool
 	// undoEnabled records index restore logs with each history entry.
@@ -197,13 +243,21 @@ type Certifier struct {
 	// SpecCertifier wrapper enables it; a plain conservative certifier
 	// skips the bookkeeping entirely.
 	undoEnabled bool
-	history     []histEntry
+	hist        history
 	seq         uint64
 	pruned      uint64 // highest seq dropped by pruning
+	// marks holds the latest delivered low-water mark of each tracked site.
+	marks []SiteMark
 
 	// lastWriter maps a tuple to the highest sequence number that
 	// committed a write to it.
 	lastWriter map[TupleID]uint64
+}
+
+// SiteMark is one tracked site's latest delivered low-water mark.
+type SiteMark struct {
+	Site SiteID
+	Mark uint64
 }
 
 // histEntry is one committed write-set. undo is the index restore log:
@@ -240,12 +294,23 @@ func NewScanCertifier() *Certifier {
 	return c
 }
 
+// TrackSites sets the sites whose low-water marks bound pruning: every
+// configured site of the certifier's group. Each mark starts at 0, so
+// nothing is pruned to the horizon until every site has sent. A certifier
+// that tracks no site prunes only by MaxHistory.
+func (c *Certifier) TrackSites(sites []SiteID) {
+	c.marks = c.marks[:0]
+	for _, s := range sites {
+		c.marks = append(c.marks, SiteMark{Site: s})
+	}
+}
+
 // Seq reports the current commit sequence number (count of committed
 // transactions so far).
 func (c *Certifier) Seq() uint64 { return c.seq }
 
 // HistoryLen reports retained committed write-sets (for pruning tests).
-func (c *Certifier) HistoryLen() int { return len(c.history) }
+func (c *Certifier) HistoryLen() int { return c.hist.len() }
 
 // Certify decides a transaction's fate: it aborts iff the Veto predicate
 // rejects it or its read-set intersects the write-set of any committed
@@ -279,6 +344,7 @@ func (c *Certifier) CheckOnly(t *TxnCert) bool {
 		// pruned: conflicts can no longer be ruled out. Abort —
 		// deterministically, since pruning follows the certified
 		// stream identically at every replica.
+		c.StaleAborts++
 		return false
 	}
 	work, ok := 0, true
@@ -287,17 +353,17 @@ func (c *Certifier) CheckOnly(t *TxnCert) bool {
 		// committed after the snapshot. Binary search for the first
 		// one, open-coded: a sort.Search closure is a heap allocation
 		// per certification.
-		lo, hi := 0, len(c.history)
+		lo, hi := 0, c.hist.len()
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
-			if c.history[mid].seq > t.LastCommitted {
+			if c.hist.at(mid).seq > t.LastCommitted {
 				hi = mid
 			} else {
 				lo = mid + 1
 			}
 		}
-		for i := lo; i < len(c.history); i++ {
-			e := &c.history[i]
+		for i := lo; i < c.hist.len(); i++ {
+			e := c.hist.at(i)
 			work += len(e.writeSet) + len(t.ReadSet)
 			if e.writeSet.Intersects(t.ReadSet) {
 				ok = false
@@ -320,7 +386,7 @@ func (c *Certifier) CheckOnly(t *TxnCert) bool {
 }
 
 // ForceCommit installs t unconditionally: it advances the sequence, records
-// and indexes the write-set, and applies MaxHistory pruning. Certify uses it
+// and indexes the write-set, and applies the MaxHistory cap. Certify uses it
 // as its install; on its own it is the decide of the cross-group commit
 // round, whose verdict was fixed by the vote — re-testing there would be
 // wrong, since unrelated local commits may have advanced the state past t's
@@ -336,12 +402,66 @@ func (c *Certifier) ForceCommit(t *TxnCert) Outcome {
 	if len(t.WriteSet) > 0 {
 		e := histEntry{seq: c.seq, writeSet: t.WriteSet.Clone()}
 		e.undo = c.indexWrites(t.WriteSet)
-		c.history = append(c.history, e)
-		if c.MaxHistory > 0 && len(c.history) > c.MaxHistory {
-			c.dropOldest(len(c.history) - c.MaxHistory)
+		c.hist.push(e)
+		if c.MaxHistory > 0 {
+			c.prune(c.hist.len(), c.MaxHistory)
 		}
 	}
 	return Outcome{Commit: true, Seq: c.seq}
+}
+
+// Observe is the final-delivery step after certification: it records t's
+// low-water mark for its originating site — ignored unless the site is
+// tracked, so relayed parts from other groups never move the horizon — and
+// prunes the history to the new horizon. Pruning is not charged: it is
+// bookkeeping outside the modelled certification cost.
+//
+//hot:path
+func (c *Certifier) Observe(t *TxnCert) {
+	c.noteMark(t)
+	c.prune(c.hist.len(), c.MaxHistory)
+}
+
+// noteMark records t's low-water mark as its site's latest.
+func (c *Certifier) noteMark(t *TxnCert) {
+	for i := range c.marks {
+		if c.marks[i].Site == t.Site {
+			c.marks[i].Mark = t.LowWater
+			return
+		}
+	}
+}
+
+// horizon reports the smallest latest mark over the tracked sites (0 when
+// none is tracked): no message still to be delivered has a snapshot below
+// it.
+func (c *Certifier) horizon() uint64 {
+	if len(c.marks) == 0 {
+		return 0
+	}
+	h := c.marks[0].Mark
+	for _, m := range c.marks[1:] {
+		h = min(h, m.Mark)
+	}
+	return h
+}
+
+// prune drops, among the oldest eligible entries, every one at or below the
+// horizon, then as many more as the maxHistory cap (0 = none) requires.
+// Only eligible entries may go: SpecCertifier passes its finalized prefix so
+// tentative commits are never pruned. It returns the number dropped.
+func (c *Certifier) prune(eligible, maxHistory int) int {
+	h := c.horizon()
+	drop := 0
+	for drop < eligible && c.hist.at(drop).seq <= h {
+		drop++
+	}
+	if maxHistory > 0 && eligible-drop > maxHistory {
+		drop = eligible - maxHistory
+		c.CapHits++
+	}
+	c.dropOldest(drop)
+	return drop
 }
 
 // indexWrites records ws as committed at the current sequence number and —
@@ -369,11 +489,11 @@ func (c *Certifier) indexWrites(ws ItemSet) []undoRec {
 // crosses the pruning boundary because SpecCertifier prunes only the
 // finalized region.
 func (c *Certifier) truncate(histLen int, seqBefore uint64) {
-	if !c.undoEnabled && len(c.history) > histLen {
+	if !c.undoEnabled && c.hist.len() > histLen {
 		panic("dbsm: truncate on a certifier without undo logging")
 	}
-	for i := len(c.history) - 1; i >= histLen; i-- {
-		e := &c.history[i]
+	for i := c.hist.len() - 1; i >= histLen; i-- {
+		e := c.hist.at(i)
 		for j := len(e.undo) - 1; j >= 0; j-- {
 			if u := e.undo[j]; u.prev == 0 {
 				delete(c.lastWriter, u.key)
@@ -381,9 +501,8 @@ func (c *Certifier) truncate(histLen int, seqBefore uint64) {
 				c.lastWriter[u.key] = u.prev
 			}
 		}
-		c.history[i] = histEntry{}
 	}
-	c.history = c.history[:histLen]
+	c.hist.truncate(histLen)
 	c.seq = seqBefore
 }
 
@@ -397,22 +516,18 @@ func (c *Certifier) dropOldest(drop int) {
 	if drop <= 0 {
 		return
 	}
-	c.pruned = c.history[drop-1].seq
+	c.pruned = c.hist.at(drop - 1).seq
 	for i := 0; i < drop; i++ {
-		for _, w := range c.history[i].writeSet {
+		for _, w := range c.hist.at(i).writeSet {
 			if c.lastWriter[w] <= c.pruned {
 				delete(c.lastWriter, w)
 			}
 		}
 	}
-	n := copy(c.history, c.history[drop:])
-	for i := n; i < len(c.history); i++ {
-		c.history[i] = histEntry{}
-	}
-	c.history = c.history[:n]
+	c.hist.dropOldest(drop)
 }
 
 // String aids debugging.
 func (c *Certifier) String() string {
-	return fmt.Sprintf("certifier{seq=%d history=%d}", c.seq, len(c.history))
+	return fmt.Sprintf("certifier{seq=%d history=%d}", c.seq, c.hist.len())
 }

@@ -106,6 +106,56 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMarshalLowWaterHeader pins the header word that carries the low-water
+// mark: Site is not on the wire and decodes as TIDSite(TID), the mark
+// travels as its lag below LastCommitted, a lag too long for 32 bits
+// saturates to mark 0 (lower, so conservative), and a mark above the
+// snapshot clamps to it.
+func TestMarshalLowWaterHeader(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		site          SiteID // sender-side Site, ignored on the wire
+		lastCommitted uint64
+		lowWater      uint64
+		want          uint64
+	}{
+		{"exact", 3, 41, 30, 30},
+		{"no lag", 3, 41, 41, 41},
+		{"zero snapshot", 3, 0, 0, 0},
+		{"lag just fits", 3, 1 << 33, 1<<33 - (1<<32 - 2), 1<<33 - (1<<32 - 2)},
+		{"lag saturates", 3, 1 << 33, 1<<33 - (1<<32 - 1), 0},
+		{"lag beyond 32 bits saturates", 3, 1 << 40, 1, 0},
+		{"lag to zero beyond 32 bits", 3, 1<<32 + 5, 0, 0},
+		{"mark above snapshot clamps", 3, 41, 50, 41},
+		{"site field disagrees with TID", 9, 41, 40, 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := &TxnCert{
+				TID: MakeTID(3, 77), Site: tc.site,
+				LastCommitted: tc.lastCommitted, LowWater: tc.lowWater,
+				ReadSet: NewItemSet(MakeTupleID(1, 1)),
+			}
+			wire := in.Marshal()
+			if len(wire) != in.MarshaledSize() {
+				t.Fatalf("wire size %d != MarshaledSize %d", len(wire), in.MarshaledSize())
+			}
+			got, err := Unmarshal(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Site != TIDSite(in.TID) {
+				t.Fatalf("Site = %d, want TIDSite = %d", got.Site, TIDSite(in.TID))
+			}
+			if got.LowWater != tc.want || got.LastCommitted != tc.lastCommitted {
+				t.Fatalf("LowWater = %d (LastCommitted %d), want %d", got.LowWater, got.LastCommitted, tc.want)
+			}
+			if got.LowWater > min(in.LowWater, in.LastCommitted) {
+				t.Fatalf("decoded mark %d above the sent mark %d: not conservative", got.LowWater, in.LowWater)
+			}
+		})
+	}
+}
+
 func TestUnmarshalRejectsTruncated(t *testing.T) {
 	tc := &TxnCert{TID: 1, ReadSet: NewItemSet(MakeTupleID(1, 1)), WriteBytes: 10}
 	wire := tc.Marshal()

@@ -11,7 +11,7 @@ import (
 func hostileLengthCert(nr, nw, wb uint32, bodyLen int) []byte {
 	b := make([]byte, certHeader+bodyLen)
 	binary.BigEndian.PutUint64(b[0:8], 1)    // TID
-	binary.BigEndian.PutUint32(b[8:12], 2)   // Site
+	binary.BigEndian.PutUint32(b[8:12], 2)   // low-water lag
 	binary.BigEndian.PutUint64(b[12:20], 3)  // LastCommitted
 	binary.BigEndian.PutUint32(b[20:24], nr) // |ReadSet|
 	binary.BigEndian.PutUint32(b[24:28], nw) // |WriteSet|
@@ -43,6 +43,13 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add(hostileLengthCert(0, 0, 0xFFFFFFFF, 8))
 	// Counts that fit the header but overrun the body.
 	f.Add(hostileLengthCert(3, 0, 0, 16))
+	// Low-water lags: beyond LastCommitted (decodes to mark 0), and the
+	// saturated maximum below a large snapshot.
+	lagged := hostileLengthCert(0, 0, 0, 0)
+	binary.BigEndian.PutUint32(lagged[8:12], 0xFFFFFFFF)
+	f.Add(lagged)
+	saturated := (&TxnCert{TID: MakeTID(4, 1), LastCommitted: 1 << 40, LowWater: 7}).Marshal()
+	f.Add(saturated)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tc, err := Unmarshal(data)
@@ -58,11 +65,18 @@ func FuzzUnmarshal(f *testing.F) {
 		if _, err := PeekTID(data); err != nil {
 			t.Fatal("PeekTID failed on a message Unmarshal accepted")
 		}
+		// The header invariants: Site is the TID's site and the mark
+		// never exceeds the snapshot.
+		if tc.Site != TIDSite(tc.TID) || tc.LowWater > tc.LastCommitted {
+			t.Fatalf("decoded Site %d (TID site %d), LowWater %d > LastCommitted %d",
+				tc.Site, TIDSite(tc.TID), tc.LowWater, tc.LastCommitted)
+		}
 		rt, err := Unmarshal(tc.Marshal())
 		if err != nil {
 			t.Fatalf("re-unmarshal: %v", err)
 		}
-		if rt.TID != tc.TID || len(rt.ReadSet) != len(tc.ReadSet) || len(rt.WriteSet) != len(tc.WriteSet) {
+		if rt.TID != tc.TID || len(rt.ReadSet) != len(tc.ReadSet) || len(rt.WriteSet) != len(tc.WriteSet) ||
+			rt.LowWater != tc.LowWater || rt.Site != tc.Site {
 			t.Fatal("round trip mismatch")
 		}
 	})

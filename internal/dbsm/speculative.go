@@ -18,11 +18,12 @@ package dbsm
 //
 // Pruning is deferred to finalization so it stays a pure function of the
 // finalized stream: a Certifier owned by a SpecCertifier never prunes inside
-// Certify (its MaxHistory is cleared at construction); instead prune runs
-// after each finalized transaction and drops oldest entries based only on
-// the finalized history length. Tentative certification therefore never
-// moves the pruning boundary, and every replica — whatever its local
-// tentative queue looked like — prunes at the same finalized positions.
+// Certify (its MaxHistory is cleared at construction); instead Observe runs
+// after each finalized transaction, records its low-water mark, and drops
+// the oldest finalized entries at or below the horizon, then any beyond the
+// cap. Tentative certification therefore never moves the pruning boundary,
+// and every replica — whatever its local tentative queue looked like —
+// prunes at the same finalized positions.
 type SpecCertifier struct {
 	c          *Certifier
 	maxHistory int
@@ -62,7 +63,7 @@ func (s *SpecCertifier) Certifier() *Certifier { return s.c }
 // the importer with phantom commits no other replica has.
 func (s *SpecCertifier) Finalized() (histLen int, seq uint64) {
 	if len(s.tent) == 0 {
-		return len(s.c.history), s.c.seq
+		return s.c.hist.len(), s.c.seq
 	}
 	return s.tent[0].histLen, s.tent[0].seqBefore
 }
@@ -74,7 +75,7 @@ func (s *SpecCertifier) Pending() int { return len(s.tent) }
 // outcome is speculative: it becomes authoritative only when Final confirms
 // the order.
 func (s *SpecCertifier) Tentative(t *TxnCert) Outcome {
-	e := specEntry{t: t, histLen: len(s.c.history), seqBefore: s.c.seq}
+	e := specEntry{t: t, histLen: s.c.hist.len(), seqBefore: s.c.seq}
 	e.out = s.c.Certify(t)
 	s.tent = append(s.tent, e)
 	s.Tentatives++
@@ -92,12 +93,12 @@ func (s *SpecCertifier) Final(t *TxnCert) (out Outcome, rolled []*TxnCert) {
 		out = s.tent[0].out
 		s.tent = s.tent[1:]
 		s.Matches++
-		s.prune()
+		s.Observe(t)
 		return out, nil
 	}
 	rolled = s.rollback(t.TID)
 	out = s.c.Certify(t)
-	s.prune()
+	s.Observe(t)
 	return out, rolled
 }
 
@@ -154,23 +155,18 @@ func (s *SpecCertifier) rollback(skip uint64) []*TxnCert {
 	return rolled
 }
 
-// prune drops the oldest finalized history entries beyond the retention
-// bound. Only the finalized region — below the oldest outstanding tentative
-// entry — is eligible, so the boundary is a pure function of the finalized
-// stream and identical at every replica.
-func (s *SpecCertifier) prune() {
-	if s.maxHistory <= 0 {
-		return
-	}
-	finalized := len(s.c.history)
+// Observe is Certifier.Observe restricted to the finalized region: it
+// records t's low-water mark and prunes only entries below the oldest
+// outstanding tentative one, so the boundary is a pure function of the
+// finalized stream and identical at every replica. Final calls it; the
+// cross-group commit round calls it for prepares, which never speculate.
+func (s *SpecCertifier) Observe(t *TxnCert) {
+	s.c.noteMark(t)
+	finalized := s.c.hist.len()
 	if len(s.tent) > 0 {
 		finalized = s.tent[0].histLen
 	}
-	drop := finalized - s.maxHistory
-	if drop <= 0 {
-		return
-	}
-	s.c.dropOldest(drop)
+	drop := s.c.prune(finalized, s.maxHistory)
 	for i := range s.tent {
 		s.tent[i].histLen -= drop
 	}

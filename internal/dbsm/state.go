@@ -1,11 +1,19 @@
 package dbsm
 
 // CertState is a portable snapshot of a certifier's decision-relevant state:
-// the commit sequence, the pruning boundary, and the retained committed
-// write-sets. It is what a recovering site state-transfers from a donor
-// (internal/recovery) instead of replaying the certified stream from zero:
-// importing the state and then feeding the post-snapshot stream yields
-// verdicts identical to having processed the whole stream.
+// the commit sequence, the pruning boundary, the tracked sites' low-water
+// marks, and the retained committed write-sets. It is what a recovering site
+// state-transfers from a donor (internal/recovery) instead of replaying the
+// certified stream from zero: importing the state and then feeding the
+// post-snapshot stream yields verdicts — and pruning — identical to having
+// processed the whole stream.
+//
+// The retained history reaches back to the horizon: the smallest latest mark
+// over the group's sites. A crashed site's mark stays frozen at its last
+// message, so while it is down the window keeps every write-set committed
+// since its crash point, and a delta transfer can ship exactly the pages
+// written since. MaxHistory caps the window only for a site that never
+// sends.
 //
 // The inverted last-writer index is deliberately not serialized: it is a pure
 // function of the retained history (dropOldest deletes every index cell at or
@@ -17,6 +25,8 @@ type CertState struct {
 	// Pruned is the pruning boundary: transactions whose snapshot predates
 	// it abort deterministically.
 	Pruned uint64
+	// Marks holds each tracked site's latest delivered low-water mark.
+	Marks []SiteMark
 	// History holds the retained committed write-sets, oldest first.
 	History []CommitRecord
 }
@@ -28,9 +38,10 @@ type CommitRecord struct {
 }
 
 // WireSize reports the modeled transfer size of the state in bytes: two
-// sequence fields plus, per record, its sequence and 8 bytes per item.
+// sequence fields, 12 bytes per site mark, plus, per record, its sequence
+// and 8 bytes per item.
 func (st *CertState) WireSize() int64 {
-	n := int64(16)
+	n := int64(16) + 12*int64(len(st.Marks))
 	for i := range st.History {
 		n += 8 + 8*int64(len(st.History[i].WriteSet))
 	}
@@ -44,10 +55,11 @@ func (c *Certifier) ExportState() *CertState {
 	st := &CertState{
 		Seq:     c.seq,
 		Pruned:  c.pruned,
-		History: make([]CommitRecord, len(c.history)),
+		Marks:   append([]SiteMark(nil), c.marks...),
+		History: make([]CommitRecord, c.hist.len()),
 	}
-	for i := range c.history {
-		e := &c.history[i]
+	for i := range st.History {
+		e := c.hist.at(i)
 		st.History[i] = CommitRecord{Seq: e.seq, WriteSet: e.writeSet.Clone()}
 	}
 	return st
@@ -55,20 +67,19 @@ func (c *Certifier) ExportState() *CertState {
 
 // ImportState replaces the certifier's state with a snapshot, rebuilding the
 // last-writer index (and, when undo logging is enabled, the restore logs) by
-// replaying the retained history. Any prior state is discarded.
+// replaying the retained history. Any prior state, tracked marks included,
+// is discarded.
 func (c *Certifier) ImportState(st *CertState) {
-	for i := range c.history {
-		c.history[i] = histEntry{}
-	}
-	c.history = c.history[:0]
+	c.hist.truncate(0)
 	c.lastWriter = make(map[TupleID]uint64, len(st.History))
 	c.pruned = st.Pruned
+	c.marks = append(c.marks[:0], st.Marks...)
 	for i := range st.History {
 		rec := &st.History[i]
 		e := histEntry{seq: rec.Seq, writeSet: rec.WriteSet.Clone()}
 		c.seq = rec.Seq
 		e.undo = c.indexWrites(e.writeSet)
-		c.history = append(c.history, e)
+		c.hist.push(e)
 	}
 	c.seq = st.Seq
 }

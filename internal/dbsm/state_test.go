@@ -133,7 +133,7 @@ func TestFinalizedExcludesTentatives(t *testing.T) {
 		out, _ := spec.Final(tc)
 		_ = out
 	}
-	finalHist, finalSeq := len(base.history), base.seq
+	finalHist, finalSeq := base.HistoryLen(), base.seq
 	// Outstanding speculation on the next few transactions.
 	for _, tc := range stream[80:90] {
 		spec.Tentative(tc)

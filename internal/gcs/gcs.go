@@ -379,6 +379,10 @@ func (s *Stack) JoinSeq() uint64 { return s.joinSeq }
 // View reports the current view.
 func (s *Stack) View() View { return s.view }
 
+// Members reports the configured member universe, sorted: every site of the
+// group, whether or not the current view includes it.
+func (s *Stack) Members() []NodeID { return s.cfg.Members }
+
 // Stats reports protocol counters.
 func (s *Stack) Stats() Stats { return s.stats }
 

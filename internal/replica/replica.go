@@ -70,9 +70,14 @@ const (
 	// marshalCostPerByte is the CPU cost per marshaled or unmarshaled
 	// byte.
 	marshalCostPerByte = 2 * sim.Nanosecond
-	// maxHistory bounds the certifier's retained write-sets. Pruning is
-	// deterministic across replicas (a pure function of the certified
-	// stream).
+	// maxHistory caps the certifier's retained write-sets. The window
+	// normally ends at the horizon: the smallest low-water mark delivered
+	// from each configured site of the group (dbsm.Certifier.Observe). A
+	// crashed or excluded site's mark stays frozen, holding the window
+	// open back to its crash point so delta recovery can ship only the
+	// pages written since. The cap binds only when a site never sends;
+	// Stats.HistoryCapHits counts it. Both bounds are pure functions of
+	// the certified stream, so every replica prunes identically.
 	maxHistory = 50000
 	// xRetryPeriod is the cross-group coordinator's retransmit period.
 	xRetryPeriod = 100 * sim.Millisecond
@@ -134,6 +139,13 @@ type Stats struct {
 	// XPrepFrags counts prepare relay fragments sent because the item sets
 	// alone exceeded the MTU (padding trimming could not fit the frame).
 	XPrepFrags int64 `feature:"xprepfrags"`
+	// StaleAborts counts certifications aborted because the snapshot
+	// predated the certifier's retained window. Horizon pruning keeps it
+	// at zero; only a MaxHistory cap hit can make it fire.
+	StaleAborts int64
+	// HistoryCapHits counts prunings the maxHistory cap forced past the
+	// horizon (a configured site that never sent).
+	HistoryCapHits int64
 }
 
 // tentTxn is the replica-side state of one tentatively-delivered message.
@@ -214,6 +226,12 @@ func New(rt runtimeapi.Runtime, stack *gcs.Stack, server *db.Server, opts Option
 		rt.Charge(sim.Time(items) * certCostPerItem)
 	}
 	r.cert.MaxHistory = maxHistory
+	members := stack.Members()
+	sites := make([]dbsm.SiteID, len(members))
+	for i, m := range members {
+		sites[i] = dbsm.SiteID(m)
+	}
+	r.cert.TrackSites(sites)
 	if opts.Optimistic {
 		r.spec = dbsm.NewSpecCertifier(r.cert)
 		r.tent = make(map[uint64]*tentTxn)
@@ -251,6 +269,8 @@ func (r *Replica) Stats() Stats {
 	s := r.stats
 	s.Backpressure = r.backlog.Engages()
 	s.BacklogPeak = int64(r.backlog.Peak())
+	s.StaleAborts = r.cert.StaleAborts
+	s.HistoryCapHits = r.cert.CapHits
 	if r.spec != nil {
 		s.Tentative = r.spec.Tentatives
 		s.Rollbacks = r.spec.Rollbacks
@@ -401,8 +421,19 @@ func (r *Replica) applyFinal(global uint64, payload []byte) {
 		out, _ = r.spec.Final(tc)
 	} else {
 		out = r.cert.Certify(tc)
+		r.observe(tc)
 	}
 	r.resolve(tc, out, false)
+}
+
+// observe hands a final delivery's low-water mark to the certifier, through
+// the speculative wrapper when there is one so only finalized entries prune.
+func (r *Replica) observe(tc *dbsm.TxnCert) {
+	if r.spec != nil {
+		r.spec.Observe(tc)
+		return
+	}
+	r.cert.Observe(tc)
 }
 
 // replicaThunk is a pooled one-shot job: the closure handed to the runtime
@@ -453,7 +484,7 @@ func (r *Replica) terminate(t *db.Txn) {
 }
 
 func stageTerminate(r *Replica, t *db.Txn, _ []byte) {
-	tc := t.CertInfo(r.site)
+	tc := t.CertInfo()
 	if r.x != nil {
 		r.x.terminate(t, tc)
 		return
@@ -642,6 +673,7 @@ func (r *Replica) onDeliver(d gcs.Delivery) {
 	r.stats.Delivered++
 	r.chargeUnmarshal(len(payload))
 	out := r.cert.Certify(tc)
+	r.observe(tc)
 	r.resolve(tc, out, false)
 }
 

@@ -335,6 +335,12 @@ func (x *xmgr) prepareDelivered(p *xgroup.Prepare) {
 	if e.reserved() && e.part != nil {
 		x.active = append(x.active, e)
 	}
+	if x.group == e.home && e.part != nil {
+		// The home part carries the coordinator's low-water mark; a
+		// relayed part's sender belongs to another group and never moves
+		// this group's horizon.
+		r.observe(e.part)
+	}
 	if e.coord {
 		x.recordVote(e, x.group, vote)
 		if !e.coordDecided {

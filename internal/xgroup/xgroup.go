@@ -51,9 +51,10 @@ type Part struct {
 
 // Split partitions a certification message by group: each tuple goes to the
 // part of classify(tuple), with 0 — unpartitioned catalog data, replicated
-// in every group — folded into the home part. TID, Site, and LastCommitted
-// are copied into every part (LastCommitted is only meaningful to the home
-// group's certifier; remote votes skip the staleness test). WriteBytes is
+// in every group — folded into the home part. TID, Site, LastCommitted and
+// LowWater are copied into every part (LastCommitted and LowWater are only
+// meaningful to the home group's certifier: remote votes skip the staleness
+// test, and a foreign site's mark never moves a group's pruning horizon). WriteBytes is
 // distributed proportionally to each part's write count, remainder to the
 // home part. Parts are returned sorted by group with freshly built item
 // sets (sortedness carries over from t's, so the dbsm invariants hold).
@@ -72,6 +73,7 @@ func Split(t *dbsm.TxnCert, classify func(dbsm.TupleID) int, home int) []Part {
 			TID:           t.TID,
 			Site:          t.Site,
 			LastCommitted: t.LastCommitted,
+			LowWater:      t.LowWater,
 		}})
 		return &parts[len(parts)-1]
 	}
